@@ -1,20 +1,23 @@
 // Alignment-kernel ablation: times the full-traceback Smith–Waterman DP
-// against the score-only kernels it was refactored into — the rolling
-// two-row Gotoh kernel, the banded variant around a seed diagonal, and
-// the early-terminating thresholded predicate — over a length sweep, and
-// writes BENCH_align_kernels.json to the repo root. Alongside wall-clock
-// it records the peak DP working-set of each kernel (analytic, from the
-// layouts: three int64 matrices for the full DP vs three int32 rows for
-// the kernels), which is the O(n*m) → O(min(n,m)) claim in numbers.
+// against the linear-memory kernels — the rolling-row score kernel, the
+// statistics kernel (score, length and identity matches without a
+// traceback) and the early-terminating thresholded predicate — over a
+// length sweep, then the `resembles` predicate end to end, and writes
+// BENCH_align_kernels.json to the repo root, stamped with the host's core
+// count, the build type and $GENALG_COMMIT. Alongside wall-clock it
+// records the peak DP working set of each kernel (analytic, from the
+// layouts: three int64 matrices for the full DP against rolling rows for
+// the kernels), which is the O(n*m) → O(m) claim in numbers.
 //
-// Every timed kernel call is checked against the full DP score first, so
-// a run that produced a wrong score aborts instead of reporting it.
+// Every timed kernel call is checked against the full DP first, so a run
+// that produced a wrong result aborts instead of reporting it.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "align/aligner.h"
@@ -27,7 +30,6 @@ namespace {
 
 constexpr size_t kLengths[] = {250, 500, 1000, 2000};
 constexpr size_t kNumLengths = sizeof(kLengths) / sizeof(kLengths[0]);
-constexpr size_t kBand = 48;
 
 double MedianMs(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
@@ -49,12 +51,10 @@ double TimeMs(int repeats, Fn&& body) {
 }
 
 // A homologous pair: `b` is `a` with ~8% point mutations and a small
-// prefix shift, so the optimal alignment hugs a known diagonal — the
-// regime the `resembles` hot path lives in.
+// prefix shift — the regime the `resembles` hot path lives in.
 struct Pair {
   std::string a;
   std::string b;
-  int64_t diagonal;
 };
 
 Pair MakeRelatedPair(Rng* rng, size_t length) {
@@ -67,7 +67,6 @@ Pair MakeRelatedPair(Rng* rng, size_t length) {
   const size_t shift = 1 + rng->Uniform(16);
   p.b = rng->RandomDna(shift) + p.b;
   p.b.resize(length);
-  p.diagonal = static_cast<int64_t>(shift);
   return p;
 }
 
@@ -75,11 +74,17 @@ struct LengthResult {
   size_t length = 0;
   double full_dp_ms = 0;
   double score_only_ms = 0;
-  double banded_ms = 0;
+  double stats_ms = 0;
   double reaches_miss_ms = 0;
   size_t full_dp_bytes = 0;
   size_t score_only_bytes = 0;
+  size_t stats_bytes = 0;
 };
+
+bool SameStats(const align::LocalStats& stats, const align::Alignment& full) {
+  return stats.score == full.score && stats.columns == full.Length() &&
+         stats.Identity() == full.Identity();
+}
 
 LengthResult RunLength(size_t length) {
   Rng rng(4242 + length);
@@ -89,17 +94,19 @@ LengthResult RunLength(size_t length) {
   const auto& scoring = align::SubstitutionMatrix::Nucleotide();
   const align::GapPenalties gaps;
 
-  const int64_t truth =
-      align::LocalAlign(related.a, related.b, scoring, gaps)->score;
+  const align::Alignment full =
+      align::LocalAlign(related.a, related.b, scoring, gaps).value();
+  const int64_t truth = full.score;
   align::AlignScratch scratch;
   if (align::LocalAlignScore(related.a, related.b, scoring, gaps,
                              &scratch)
           .value() != truth) {
     std::abort();
   }
-  if (align::BandedLocalAlignScore(related.a, related.b, scoring, gaps,
-                                   related.diagonal, kBand, &scratch)
-          .value() != truth) {
+  if (!SameStats(align::LocalAlignStats(related.a, related.b, scoring, gaps,
+                                        &scratch)
+                     .value(),
+                 full)) {
     std::abort();
   }
   // A threshold between the noise pair's best score (~0.2 per base) and
@@ -117,7 +124,7 @@ LengthResult RunLength(size_t length) {
 
   LengthResult out;
   out.length = length;
-  const int repeats = length >= 2000 ? 3 : 5;
+  const int repeats = length >= 2000 ? 5 : 9;
   out.full_dp_ms = TimeMs(repeats, [&] {
     if (align::LocalAlign(related.a, related.b, scoring, gaps)->score !=
         truth) {
@@ -131,10 +138,11 @@ LengthResult RunLength(size_t length) {
       std::abort();
     }
   });
-  out.banded_ms = TimeMs(repeats, [&] {
-    if (align::BandedLocalAlignScore(related.a, related.b, scoring, gaps,
-                                     related.diagonal, kBand, &scratch)
-            .value() != truth) {
+  out.stats_ms = TimeMs(repeats, [&] {
+    if (align::LocalAlignStats(related.a, related.b, scoring, gaps,
+                               &scratch)
+            .value()
+            .score != truth) {
       std::abort();
     }
   });
@@ -147,21 +155,27 @@ LengthResult RunLength(size_t length) {
   });
   // Peak DP working set, from the layouts. Full DP: three int64 layers
   // of (n+1)*(m+1) cells. Score-only: three int32 rows of min(n,m)+1
-  // cells plus the two uint8 code strings.
+  // cells plus the two uint8 code strings. Statistics: one row of
+  // |b|+1 StatsColumn entries (cells, path statistics and residue)
+  // plus the code strings.
   const size_t cells = (length + 1) * (length + 1);
+  const size_t code_bytes = 2 * length * sizeof(uint8_t);
   out.full_dp_bytes = 3 * cells * sizeof(int64_t);
-  out.score_only_bytes =
-      3 * (length + 1) * sizeof(int32_t) + 2 * length * sizeof(uint8_t);
+  out.score_only_bytes = 3 * (length + 1) * sizeof(int32_t) + code_bytes;
+  out.stats_bytes =
+      (length + 1) * sizeof(align::AlignScratch::StatsColumn) + code_bytes;
   return out;
 }
 
-// The end-to-end predicate: `resembles` over a mixed batch of related
-// and unrelated pairs, old route (full DP for every pair) vs the
-// screened kernels behind the new Resembles. Two regimes: the permissive
-// default (80% over >= 16 bases), whose tiny score floor almost never
-// refutes a pair — the screen must stay ~free there — and a stringent
-// entity-matching config (90% over >= 200 bases), whose floor rejects
-// unrelated pairs without ever running their full DP.
+// The end-to-end predicate: `resembles` over a batch of pairs, old route
+// (full traceback DP for every pair) against BatchResembles on one
+// thread. Three regimes: the permissive default (80% over >= 16 bases)
+// on 600 bp pairs, whose tiny score floor almost never refutes a pair, so
+// nearly every pair takes a statistics fill; the same default on the
+// shape BQL `resembling` runs, a 50 bp pattern against stored sequences
+// of 250-750 bp; and a stringent entity-matching config (90% over >= 200
+// bases), whose floor rejects unrelated pairs with the score kernel
+// alone.
 struct PredicateResult {
   const char* name = "";
   double min_identity = 0;
@@ -171,31 +185,60 @@ struct PredicateResult {
   double screened_ms = 0;
 };
 
-PredicateResult RunPredicate(const char* name, double min_identity,
-                             size_t min_overlap) {
+using SeqPairs = std::vector<std::pair<const seq::NucleotideSequence*,
+                                       const seq::NucleotideSequence*>>;
+
+// 40 sequences of 600 bp, every fourth a 10%-mutated copy of the one
+// before; pairs are neighbours.
+SeqPairs NeighbourPairs(std::vector<seq::NucleotideSequence>* store) {
   Rng rng(99);
-  std::vector<seq::NucleotideSequence> store;
-  std::vector<int64_t> hints;
   for (int i = 0; i < 40; ++i) {
-    if (i % 4 == 0 && !store.empty()) {
-      std::string s = store[store.size() - 1].ToString();
+    if (i % 4 == 0 && !store->empty()) {
+      std::string s = store->back().ToString();
       for (char& c : s) {
         if (rng.Bernoulli(0.1)) c = rng.Pick("ACGT");
       }
-      store.push_back(seq::NucleotideSequence::Dna(s).value());
+      store->push_back(seq::NucleotideSequence::Dna(s).value());
     } else {
-      store.push_back(
+      store->push_back(
           seq::NucleotideSequence::Dna(rng.RandomDna(600)).value());
     }
   }
-  std::vector<std::pair<const seq::NucleotideSequence*,
-                        const seq::NucleotideSequence*>>
-      pairs;
-  for (size_t i = 0; i + 1 < store.size(); ++i) {
-    pairs.emplace_back(&store[i], &store[i + 1]);
-    hints.push_back(0);
+  SeqPairs pairs;
+  for (size_t i = 0; i + 1 < store->size(); ++i) {
+    pairs.emplace_back(&(*store)[i], &(*store)[i + 1]);
   }
+  return pairs;
+}
 
+// 40 stored sequences of 250-750 bp against one 50 bp pattern copied,
+// with 10% point mutations, out of every fourth of them; the stored
+// sequence comes first, as in BQL's resembles(stored, pattern).
+SeqPairs PatternPairs(std::vector<seq::NucleotideSequence>* store) {
+  Rng rng(101);
+  const std::string pattern = rng.RandomDna(50);
+  store->reserve(41);
+  store->push_back(seq::NucleotideSequence::Dna(pattern).value());
+  for (int i = 0; i < 40; ++i) {
+    std::string s = rng.RandomDna(250 + rng.Uniform(501));
+    if (i % 4 == 0) {
+      std::string copy = pattern;
+      for (char& c : copy) {
+        if (rng.Bernoulli(0.1)) c = rng.Pick("ACGT");
+      }
+      s.replace(rng.Uniform(s.size() - copy.size()), copy.size(), copy);
+    }
+    store->push_back(seq::NucleotideSequence::Dna(s).value());
+  }
+  SeqPairs pairs;
+  for (size_t i = 1; i < store->size(); ++i) {
+    pairs.emplace_back(&(*store)[i], &(*store)[0]);
+  }
+  return pairs;
+}
+
+PredicateResult RunPredicate(const char* name, double min_identity,
+                             size_t min_overlap, const SeqPairs& pairs) {
   PredicateResult out;
   out.name = name;
   out.min_identity = min_identity;
@@ -208,7 +251,7 @@ PredicateResult RunPredicate(const char* name, double min_identity,
     want.push_back(best.Length() >= min_overlap &&
                    best.Identity() >= min_identity);
   }
-  out.full_dp_ms = TimeMs(3, [&] {
+  out.full_dp_ms = TimeMs(9, [&] {
     for (size_t i = 0; i < pairs.size(); ++i) {
       auto best = align::LocalAlign(*pairs[i].first, *pairs[i].second)
                       .value();
@@ -219,12 +262,12 @@ PredicateResult RunPredicate(const char* name, double min_identity,
     }
   });
   ThreadPool serial(1);
-  out.screened_ms = TimeMs(3, [&] {
-    auto got = align::BatchResembles(pairs, min_identity, min_overlap,
-                                     &serial, &hints)
-                   .value();
+  out.screened_ms = TimeMs(9, [&] {
+    auto got =
+        align::BatchResembles(pairs, min_identity, min_overlap, &serial)
+            .value();
     for (size_t i = 0; i < pairs.size(); ++i) {
-      if (got[i] != want[i]) std::abort();
+      if (got[i].hit != want[i]) std::abort();
     }
   });
   return out;
@@ -251,18 +294,24 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < kNumLengths; ++i) {
     results[i] = RunLength(kLengths[i]);
     std::printf(
-        "len=%-5zu full=%.2fms score=%.2fms (%.1fx) banded=%.2fms "
+        "len=%-5zu full=%.2fms score=%.2fms (%.1fx) stats=%.2fms "
         "(%.1fx) reject=%.2fms\n",
         results[i].length, results[i].full_dp_ms, results[i].score_only_ms,
         results[i].full_dp_ms / results[i].score_only_ms,
-        results[i].banded_ms,
-        results[i].full_dp_ms / results[i].banded_ms,
+        results[i].stats_ms, results[i].full_dp_ms / results[i].stats_ms,
         results[i].reaches_miss_ms);
   }
+  std::vector<genalg::seq::NucleotideSequence> neighbours;
+  std::vector<genalg::seq::NucleotideSequence> patterned;
+  const SeqPairs neighbour_pairs = NeighbourPairs(&neighbours);
+  const SeqPairs pattern_pairs = PatternPairs(&patterned);
   PredicateResult predicates[] = {
-      RunPredicate("permissive", 0.8, 16),
-      RunPredicate("stringent", 0.9, 200),
+      RunPredicate("permissive", 0.8, 16, neighbour_pairs),
+      RunPredicate("permissive_pattern", 0.8, 16, pattern_pairs),
+      RunPredicate("stringent", 0.9, 200, neighbour_pairs),
   };
+  constexpr size_t kNumPredicates =
+      sizeof(predicates) / sizeof(predicates[0]);
   for (const PredicateResult& p : predicates) {
     std::printf(
         "resembles[%s id>=%.2f len>=%zu] x%zu pairs: full=%.2fms "
@@ -276,12 +325,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+#ifndef GENALG_BUILD_TYPE
+#define GENALG_BUILD_TYPE "unknown"
+#endif
+  const char* commit = std::getenv("GENALG_COMMIT");
   std::fprintf(out, "{\n  \"benchmark\": \"align_kernels\",\n");
   std::fprintf(out,
+               "  \"host\": {\"hardware_concurrency\": %u, "
+               "\"build_type\": \"%s\", \"commit\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), GENALG_BUILD_TYPE,
+               commit != nullptr ? commit : "unknown");
+  std::fprintf(out,
                "  \"setup\": {\"pair\": \"8%% mutated copy, shifted\", "
-               "\"gap_open\": -5, \"gap_extend\": -1, \"band\": %zu, "
-               "\"threads\": 1},\n",
-               kBand);
+               "\"gap_open\": -5, \"gap_extend\": -1, "
+               "\"threads\": 1},\n");
   std::fprintf(out, "  \"lengths\": [\n");
   for (size_t i = 0; i < kNumLengths; ++i) {
     const LengthResult& r = results[i];
@@ -289,17 +346,18 @@ int main(int argc, char** argv) {
         out,
         "    {\"length\": %zu, \"full_dp_ms\": %.3f, "
         "\"score_only_ms\": %.3f, \"score_only_speedup\": %.2f, "
-        "\"banded_ms\": %.3f, \"banded_speedup\": %.2f, "
+        "\"stats_ms\": %.3f, \"stats_speedup\": %.2f, "
         "\"early_exit_reject_ms\": %.3f, "
-        "\"full_dp_peak_bytes\": %zu, \"score_only_peak_bytes\": %zu}%s\n",
+        "\"full_dp_peak_bytes\": %zu, \"score_only_peak_bytes\": %zu, "
+        "\"stats_peak_bytes\": %zu}%s\n",
         r.length, r.full_dp_ms, r.score_only_ms,
-        r.full_dp_ms / r.score_only_ms, r.banded_ms,
-        r.full_dp_ms / r.banded_ms, r.reaches_miss_ms, r.full_dp_bytes,
-        r.score_only_bytes, i + 1 < kNumLengths ? "," : "");
+        r.full_dp_ms / r.score_only_ms, r.stats_ms,
+        r.full_dp_ms / r.stats_ms, r.reaches_miss_ms, r.full_dp_bytes,
+        r.score_only_bytes, r.stats_bytes, i + 1 < kNumLengths ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"resembles_predicate\": [\n");
-  for (size_t p = 0; p < 2; ++p) {
+  for (size_t p = 0; p < kNumPredicates; ++p) {
     const PredicateResult& r = predicates[p];
     std::fprintf(out,
                  "    {\"config\": \"%s\", \"min_identity\": %.2f, "
@@ -308,7 +366,8 @@ int main(int argc, char** argv) {
                  "\"speedup\": %.2f}%s\n",
                  r.name, r.min_identity, r.min_overlap, r.pairs,
                  r.full_dp_ms, r.screened_ms,
-                 r.full_dp_ms / r.screened_ms, p + 1 < 2 ? "," : "");
+                 r.full_dp_ms / r.screened_ms,
+                 p + 1 < kNumPredicates ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -148,7 +148,7 @@ double TimeBatchAlignment(
   if (!verdicts.ok() || verdicts->size() != pairs.size()) std::abort();
   // The even pairs were built similar; a changed verdict means the
   // workload (not just its speed) changed.
-  if (!(*verdicts)[0]) std::abort();
+  if (!(*verdicts)[0].hit) std::abort();
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 

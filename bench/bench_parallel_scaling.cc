@@ -1,6 +1,6 @@
 // Parallel-scaling trajectory: measures the three pooled hot paths —
 // KmerIndex::Build, EtlPipeline::InitialLoad, and batched seed-and-extend
-// (BatchLocalAlign over KmerIndex candidates) — at 1/2/4/8 threads and
+// (BatchResembles over KmerIndex candidates) — at 1/2/4/8 threads and
 // writes the measurements to BENCH_parallel_scaling.json in the repo
 // root. Speedups are relative to the 1-thread run of the same path; on a
 // single-core host every ratio degenerates to ~1, so the JSON also
@@ -85,22 +85,21 @@ double BenchSeedAndExtend(ThreadPool* pool,
                           const std::vector<NucleotideSequence>& corpus,
                           const index::KmerIndex& idx) {
   // A noisy read seeded against the index; every ranked candidate is
-  // extended with a local alignment over the pool.
+  // verified with `resembles` (stored sequence first) over the pool.
   Rng rng(8282);
   std::string read = corpus[corpus.size() / 2].ToString().substr(50, 400);
   for (size_t i = 0; i < read.size(); i += 31) read[i] = rng.Pick("ACGT");
   auto query = NucleotideSequence::Dna(read).value();
   auto candidates = idx.FindCandidates(query, 1);
-  std::vector<const NucleotideSequence*> targets;
-  targets.reserve(candidates.size());
+  std::vector<std::pair<const NucleotideSequence*, const NucleotideSequence*>>
+      pairs;
+  pairs.reserve(candidates.size());
   for (const auto& candidate : candidates) {
-    targets.push_back(&corpus[candidate.doc]);
+    pairs.emplace_back(&corpus[candidate.doc], &query);
   }
   return TimeMs(3, [&] {
-    auto alignments =
-        align::BatchLocalAlign(query, targets, align::GapPenalties(), pool)
-            .value();
-    if (alignments.size() != targets.size()) abort();
+    auto verdicts = align::BatchResembles(pairs, 0.8, 16, pool).value();
+    if (verdicts.size() != pairs.size()) abort();
   });
 }
 

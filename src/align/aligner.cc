@@ -1,7 +1,6 @@
 #include "align/aligner.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -117,13 +116,18 @@ Alignment TraceBack(const Dp& dp, std::string_view a, std::string_view b,
 
 }  // namespace
 
-double Alignment::Identity() const {
-  if (aligned_a.empty()) return 0.0;
+size_t Alignment::Matches() const {
   size_t same = 0;
   for (size_t i = 0; i < aligned_a.size(); ++i) {
     if (aligned_a[i] == aligned_b[i] && aligned_a[i] != '-') ++same;
   }
-  return static_cast<double>(same) / static_cast<double>(aligned_a.size());
+  return same;
+}
+
+double Alignment::Identity() const {
+  if (aligned_a.empty()) return 0.0;
+  return static_cast<double>(Matches()) /
+         static_cast<double>(aligned_a.size());
 }
 
 Result<Alignment> GlobalAlign(std::string_view a, std::string_view b,
@@ -334,104 +338,63 @@ Result<Alignment> LocalAlign(const seq::ProteinSequence& a,
 
 namespace {
 
-// Runs `task(i)` for every i in [0, n) over the pool, keeping the first
-// non-OK status (lowest index) — the same error the serial loop would
-// surface first.
-Status ParallelIndexed(ThreadPool* pool, size_t n,
-                       const std::function<Status(size_t)>& task) {
-  if (pool == nullptr) pool = ThreadPool::Global();
-  std::vector<Status> statuses(n, Status::OK());
-  pool->ParallelFor(0, n, 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) statuses[i] = task(i);
-  });
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
+Status CheckIdentity(double min_identity) {
+  if (min_identity < 0.0 || min_identity > 1.0) {
+    return Status::InvalidArgument("min_identity must be in [0, 1]");
   }
   return Status::OK();
 }
 
-// Width of the diagonal strip a seed hint buys before falling back to
-// the full-width kernels.
-constexpr size_t kHintBandWidth = 48;
-
-struct ResemblesOutcome {
-  bool hit = false;
-  double identity = 0.0;
-  int64_t score = 0;
-};
-
-// Decides the `resembles` predicate for one pair. The verdict is
-// bit-identical to running the full local alignment and checking its
-// length and identity — the kernels only change how cheaply a verdict is
-// reached:
+// Decides the `resembles` predicate for one pair: the one decision behind
+// Resembles and BatchResembles. The outcome is bit-identical to running
+// LocalAlign(a, b) and checking its length and identity:
 //   1. trivial rejects (empty inputs; shorter input cannot hold the
 //      identity matches the predicate demands);
-//   2. a score floor every qualifying alignment must reach: refuted in
-//      O(min(n, m)) memory — confirmed cheaply via a banded fill around
-//      the seed diagonal when the caller has one, else via the
-//      early-terminating full-width kernel;
-//   3. only pairs whose score clears the floor pay for the O(n*m)
-//      traceback DP that yields length and identity.
-Result<ResemblesOutcome> ResemblesScreened(std::string_view a,
-                                           std::string_view b,
-                                           double min_identity,
-                                           size_t min_overlap,
-                                           int64_t diagonal_hint,
-                                           AlignScratch* scratch) {
-  ResemblesOutcome out;
-  const GapPenalties gaps;
-  const SubstitutionMatrix scoring = SubstitutionMatrix::Nucleotide();
-  // The full DP on an empty input yields the empty alignment (length 0,
+//   2. a score floor every qualifying alignment must reach, refuted by
+//      the early-terminating score kernel in O(min(n, m)) memory;
+//   3. pairs whose score clears the floor get one LocalAlignStats fill,
+//      which yields length and identity without a traceback.
+Result<ResemblesVerdict> Decide(const seq::NucleotideSequence& sa,
+                                const seq::NucleotideSequence& sb,
+                                double min_identity, size_t min_overlap) {
+  thread_local AlignScratch scratch;
+  ResemblesVerdict out;
+  const std::string a = sa.ToString();
+  const std::string b = sb.ToString();
+  // LocalAlign on an empty input yields the empty alignment (length 0,
   // identity 0); answer with its verdict directly.
   if (a.empty() || b.empty()) {
     out.hit = min_overlap == 0 && min_identity <= 0.0;
     return out;
   }
-  if (min_identity > 1.0) return out;  // Identity never exceeds 1.
-  const double theta = std::max(0.0, min_identity);
-  // A qualifying alignment holds >= theta * min_overlap identity-match
+  // A qualifying alignment holds >= min_identity * min_overlap identity
   // columns, and matches cannot outnumber the shorter input.
-  if (theta > 0.0 && static_cast<double>(std::min(a.size(), b.size())) <
-                         theta * static_cast<double>(min_overlap) - 1e-6) {
+  if (min_identity > 0.0 &&
+      static_cast<double>(std::min(a.size(), b.size())) <
+          min_identity * static_cast<double>(min_overlap) - 1e-6) {
     return out;
   }
+  const GapPenalties gaps;
+  const SubstitutionMatrix scoring = SubstitutionMatrix::Nucleotide();
   const ScoringProfile& profile = ScoringProfile::NucleotideDefault();
-  profile.Encode(a, &scratch->codes_a);
-  profile.Encode(b, &scratch->codes_b);
+  profile.Encode(a, &scratch.codes_a);
+  profile.Encode(b, &scratch.codes_b);
   const int64_t floor =
       ResemblesScoreFloor(profile, gaps, min_identity, min_overlap,
-                          scratch->codes_a, scratch->codes_b);
+                          scratch.codes_a, scratch.codes_b);
   if (floor == std::numeric_limits<int64_t>::max()) return out;
   if (floor > 0) {
-    bool reachable = false;
-    if (diagonal_hint != kNoDiagonalHint) {
-      // The banded score is a lower bound of the true best, so clearing
-      // the floor inside the band is conclusive; missing it is not.
-      GENALG_ASSIGN_OR_RETURN(
-          int64_t banded,
-          BandedLocalAlignScore(a, b, scoring, gaps, diagonal_hint,
-                                kHintBandWidth, scratch));
-      reachable = banded >= floor;
-      if (reachable) {
-        static obs::Counter* band_hits =
-            obs::Registry::Global().GetCounter("align.resembles.band_hits");
-        band_hits->Increment();
-      }
-    }
-    if (!reachable) {
-      GENALG_ASSIGN_OR_RETURN(
-          reachable, LocalScoreReaches(a, b, scoring, gaps, floor, scratch));
-    }
+    GENALG_ASSIGN_OR_RETURN(
+        bool reachable,
+        LocalScoreReaches(a, b, scoring, gaps, floor, &scratch));
     if (!reachable) return out;  // Best score provably below the floor.
   }
-  // The screen could not refute the predicate: one full DP, answered
-  // from the alignment exactly as the slow path always did.
-  static obs::Counter* confirm_dps =
-      obs::Registry::Global().GetCounter("align.resembles.confirm_dps");
-  confirm_dps->Increment();
-  GENALG_ASSIGN_OR_RETURN(Alignment best,
-                          LocalAlign(a, b, scoring, gaps, scratch));
-  if (best.Length() < min_overlap) return out;
+  static obs::Counter* stat_fills =
+      obs::Registry::Global().GetCounter("align.resembles.stat_fills");
+  stat_fills->Increment();
+  GENALG_ASSIGN_OR_RETURN(LocalStats best,
+                          LocalAlignStats(a, b, scoring, gaps, &scratch));
+  if (best.columns < min_overlap) return out;
   const double identity = best.Identity();
   if (identity < min_identity) return out;
   out.hit = true;
@@ -442,103 +405,39 @@ Result<ResemblesOutcome> ResemblesScreened(std::string_view a,
 
 }  // namespace
 
-Result<std::vector<Alignment>> BatchLocalAlign(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
-    const GapPenalties& gaps, ThreadPool* pool) {
-  const std::string query_chars = query.ToString();
-  std::vector<Alignment> alignments(targets.size());
-  GENALG_RETURN_IF_ERROR(ParallelIndexed(
-      pool, targets.size(), [&](size_t i) -> Status {
-        // One DP arena per pool worker, recycled across targets.
-        thread_local AlignScratch scratch;
-        const std::string target_chars = targets[i]->ToString();
-        GENALG_ASSIGN_OR_RETURN(
-            alignments[i],
-            LocalAlign(query_chars, target_chars,
-                       SubstitutionMatrix::Nucleotide(), gaps, &scratch));
-        return Status::OK();
-      }));
-  return alignments;
-}
-
-Result<std::vector<bool>> BatchResembles(
-    const std::vector<std::pair<const seq::NucleotideSequence*,
-                                const seq::NucleotideSequence*>>& pairs,
-    double min_identity, size_t min_overlap, ThreadPool* pool,
-    const std::vector<int64_t>* diagonal_hints) {
-  if (min_identity < 0.0 || min_identity > 1.0) {
-    return Status::InvalidArgument("min_identity must be in [0, 1]");
-  }
-  if (diagonal_hints != nullptr && diagonal_hints->size() != pairs.size()) {
-    return Status::InvalidArgument(
-        "diagonal_hints must match pairs in size");
-  }
-  // std::vector<bool> is not safe for concurrent element writes; stage
-  // into bytes.
-  std::vector<uint8_t> verdicts(pairs.size(), 0);
-  GENALG_RETURN_IF_ERROR(ParallelIndexed(
-      pool, pairs.size(), [&](size_t i) -> Status {
-        thread_local AlignScratch scratch;
-        const std::string a = pairs[i].first->ToString();
-        const std::string b = pairs[i].second->ToString();
-        const int64_t hint = diagonal_hints != nullptr
-                                 ? (*diagonal_hints)[i]
-                                 : kNoDiagonalHint;
-        GENALG_ASSIGN_OR_RETURN(
-            ResemblesOutcome out,
-            ResemblesScreened(a, b, min_identity, min_overlap, hint,
-                              &scratch));
-        verdicts[i] = out.hit ? 1 : 0;
-        return Status::OK();
-      }));
-  return std::vector<bool>(verdicts.begin(), verdicts.end());
-}
-
-Result<std::vector<SimilarityVerdict>> BatchSimilarity(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
-    double min_identity, size_t min_overlap, ThreadPool* pool,
-    const std::vector<int64_t>* diagonal_hints) {
-  if (diagonal_hints != nullptr &&
-      diagonal_hints->size() != targets.size()) {
-    return Status::InvalidArgument(
-        "diagonal_hints must match targets in size");
-  }
-  const std::string query_chars = query.ToString();
-  std::vector<SimilarityVerdict> verdicts(targets.size());
-  GENALG_RETURN_IF_ERROR(ParallelIndexed(
-      pool, targets.size(), [&](size_t i) -> Status {
-        thread_local AlignScratch scratch;
-        const std::string target_chars = targets[i]->ToString();
-        const int64_t hint = diagonal_hints != nullptr
-                                 ? (*diagonal_hints)[i]
-                                 : kNoDiagonalHint;
-        GENALG_ASSIGN_OR_RETURN(
-            ResemblesOutcome out,
-            ResemblesScreened(query_chars, target_chars, min_identity,
-                              min_overlap, hint, &scratch));
-        verdicts[i] = SimilarityVerdict{out.hit, out.identity, out.score};
-        return Status::OK();
-      }));
-  return verdicts;
-}
-
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
-                       double min_identity, size_t min_overlap,
-                       int64_t diagonal_hint) {
-  if (min_identity < 0.0 || min_identity > 1.0) {
-    return Status::InvalidArgument("min_identity must be in [0, 1]");
-  }
-  AlignScratch scratch;
-  const std::string chars_a = a.ToString();
-  const std::string chars_b = b.ToString();
-  GENALG_ASSIGN_OR_RETURN(
-      ResemblesOutcome out,
-      ResemblesScreened(chars_a, chars_b, min_identity, min_overlap,
-                        diagonal_hint, &scratch));
+                       double min_identity, size_t min_overlap) {
+  GENALG_RETURN_IF_ERROR(CheckIdentity(min_identity));
+  GENALG_ASSIGN_OR_RETURN(ResemblesVerdict out,
+                          Decide(a, b, min_identity, min_overlap));
   return out.hit;
+}
+
+Result<std::vector<ResemblesVerdict>> BatchResembles(
+    const std::vector<std::pair<const seq::NucleotideSequence*,
+                                const seq::NucleotideSequence*>>& pairs,
+    double min_identity, size_t min_overlap, ThreadPool* pool) {
+  GENALG_RETURN_IF_ERROR(CheckIdentity(min_identity));
+  if (pool == nullptr) pool = ThreadPool::Global();
+  std::vector<ResemblesVerdict> verdicts(pairs.size());
+  std::vector<Status> statuses(pairs.size(), Status::OK());
+  pool->ParallelFor(0, pairs.size(), 1, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      Result<ResemblesVerdict> out = Decide(
+          *pairs[i].first, *pairs[i].second, min_identity, min_overlap);
+      if (out.ok()) {
+        verdicts[i] = *out;
+      } else {
+        statuses[i] = out.status();
+      }
+    }
+  });
+  // The first failing pair's status, as a serial loop would surface it.
+  for (Status& status : statuses) {
+    if (!status.ok()) return std::move(status);
+  }
+  return verdicts;
 }
 
 }  // namespace genalg::align

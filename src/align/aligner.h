@@ -31,16 +31,17 @@ struct Alignment {
   /// Number of alignment columns (including gap columns).
   size_t Length() const { return aligned_a.size(); }
 
-  /// Fraction of columns whose residues match exactly (gap columns count
-  /// against identity); 0 for an empty alignment.
+  /// Columns whose residues match exactly (never a gap column).
+  size_t Matches() const;
+
+  /// Matches() / Length(): gap columns count against identity; 0 for an
+  /// empty alignment.
   double Identity() const;
 };
 
 /// Needleman–Wunsch global alignment with affine gaps (Gotoh).
-/// Complexity O(|a|*|b|) time and memory. Callers that only need the
-/// score should use GlobalAlignScore (kernels.h): identical result in
-/// O(min(|a|,|b|)) memory. `scratch` (optional) recycles the DP arena
-/// across calls.
+/// Complexity O(|a|*|b|) time and memory. `scratch` (optional) recycles
+/// the DP arena across calls.
 Result<Alignment> GlobalAlign(std::string_view a, std::string_view b,
                               const SubstitutionMatrix& scoring,
                               const GapPenalties& gaps = GapPenalties(),
@@ -48,9 +49,10 @@ Result<Alignment> GlobalAlign(std::string_view a, std::string_view b,
 
 /// Smith–Waterman local alignment with affine gaps. Returns the single
 /// best-scoring local alignment (empty alignment with score 0 when nothing
-/// scores positively). Callers that only need the score should use
-/// LocalAlignScore (kernels.h); `scratch` (optional) recycles the DP
-/// arena across calls.
+/// scores positively). Callers that only need the score, or the length
+/// and identity, should use LocalAlignScore or LocalAlignStats
+/// (kernels.h): identical results without the O(n*m) traceback matrices.
+/// `scratch` (optional) recycles the DP arena across calls.
 Result<Alignment> LocalAlign(std::string_view a, std::string_view b,
                              const SubstitutionMatrix& scoring,
                              const GapPenalties& gaps = GapPenalties(),
@@ -78,72 +80,47 @@ Result<Alignment> LocalAlign(const seq::ProteinSequence& a,
                              const seq::ProteinSequence& b,
                              const GapPenalties& gaps = GapPenalties());
 
-/// Batched seed-and-extend verification: aligns `query` locally against
-/// `targets[i]` for every i, fanning the (independent) DP fills out over
-/// `pool` (nullptr ⇒ ThreadPool::Global()). Results are returned in
-/// target order and are identical to calling LocalAlign in a loop; with a
-/// size-1 pool that loop is exactly what runs. The intended callers pass
-/// the candidate documents ranked by KmerIndex::FindCandidates.
-Result<std::vector<Alignment>> BatchLocalAlign(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
-    const GapPenalties& gaps = GapPenalties(), ThreadPool* pool = nullptr);
-
-/// Batched `resembles`: evaluates Resembles(a, b) for every (a, b) pair
-/// over `pool`, returning verdicts in pair order (deterministic across
-/// pool sizes). Used by the warehouse integrator's content-matching
-/// stage and the mediator's similarity queries. Each pool worker keeps a
-/// thread-local AlignScratch, so steady-state evaluation allocates no DP
-/// memory. `diagonal_hints` (optional, one entry per pair,
-/// kNoDiagonalHint where unknown) are the dominant seed diagonals from
-/// KmerIndex::FindCandidates; a hinted pair first tries a cheap banded
-/// fill around the hint before deciding whether the full check is needed.
-/// Hints never change a verdict, only the route taken to it.
-Result<std::vector<bool>> BatchResembles(
-    const std::vector<std::pair<const seq::NucleotideSequence*,
-                                const seq::NucleotideSequence*>>& pairs,
-    double min_identity = 0.8, size_t min_overlap = 16,
-    ThreadPool* pool = nullptr,
-    const std::vector<int64_t>* diagonal_hints = nullptr);
-
-/// One target's outcome from BatchSimilarity: whether it passed the
-/// (min_identity, min_overlap) predicate, and if so the identity and
-/// score of its best local alignment.
-struct SimilarityVerdict {
-  bool hit = false;
-  double identity = 0.0;
-  int64_t score = 0;
-};
-
-/// Batched similarity search: evaluates the `resembles` predicate of
-/// `query` against every target and reports identity + score for the
-/// hits — what Mediator::SimilarTo needs, without materializing gapped
-/// alignment strings for the (typical) majority of targets that miss.
-/// Misses are rejected by the score-only kernels; only hits pay for a
-/// full DP. Semantics of hints, scratch reuse and determinism match
-/// BatchResembles.
-Result<std::vector<SimilarityVerdict>> BatchSimilarity(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
-    double min_identity = 0.8, size_t min_overlap = 16,
-    ThreadPool* pool = nullptr,
-    const std::vector<int64_t>* diagonal_hints = nullptr);
-
 /// The paper's `resembles` operator (Sec. 6.3): true iff the best local
 /// alignment of the two sequences covers at least `min_overlap` bases and
 /// reaches at least `min_identity` (fraction in [0, 1]) over the aligned
 /// window. This is the user-defined predicate the Unifying Database
 /// registers for use inside SQL.
 ///
-/// Fast path: a score floor derived from (min_identity, min_overlap)
-/// lets the linear-memory kernels prove most negatives without running
-/// the full O(n*m) DP; `diagonal_hint` (a seed diagonal, j - i) lets a
-/// banded fill prove most positives cheap as well. The verdict is
-/// bit-identical to evaluating the full alignment directly.
+/// The verdict is that of LocalAlign(a, b), so argument order decides ties:
+/// where several best local alignments score equally, `a` on the rows
+/// picks which one is measured, and (a, b) and (b, a) can disagree near
+/// the thresholds. BQL evaluates resembles(stored, pattern), and the
+/// mediator passes (stored, query) likewise.
+///
+/// A score floor derived from (min_identity, min_overlap) lets the
+/// early-terminating score kernel refute most negatives; the rest are
+/// decided by one LocalAlignStats fill. Both are bit-identical to
+/// evaluating the full alignment directly.
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
-                       double min_identity = 0.8, size_t min_overlap = 16,
-                       int64_t diagonal_hint = kNoDiagonalHint);
+                       double min_identity = 0.8, size_t min_overlap = 16);
+
+/// One pair's `resembles` outcome: the verdict, and for a hit the
+/// identity and score of the best local alignment (zero for a miss).
+struct ResemblesVerdict {
+  bool hit = false;
+  double identity = 0.0;
+  int64_t score = 0;
+
+  bool operator==(const ResemblesVerdict& other) const = default;
+};
+
+/// Batched `resembles`: decides Resembles(a, b) for every (a, b) pair over
+/// `pool` (nullptr ⇒ ThreadPool::Global()), returning outcomes in pair
+/// order, identical across pool sizes. Each pool worker keeps a
+/// thread-local AlignScratch, so steady-state evaluation allocates no DP
+/// memory. Used by the warehouse integrator's content matching and the
+/// mediator's similarity queries.
+Result<std::vector<ResemblesVerdict>> BatchResembles(
+    const std::vector<std::pair<const seq::NucleotideSequence*,
+                                const seq::NucleotideSequence*>>& pairs,
+    double min_identity = 0.8, size_t min_overlap = 16,
+    ThreadPool* pool = nullptr);
 
 }  // namespace genalg::align
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "align/aligner.h"
 #include "obs/metrics.h"
@@ -52,7 +53,7 @@ bool FitsInt32(size_t n, size_t m, const ScoringProfile& profile,
   return steps * per_step < std::numeric_limits<int32_t>::max() / 4;
 }
 
-// Shared rolling-row core for the local kernels.
+// Rolling-row core of the score-only local kernels.
 //
 // Rows run over `ra` (outer), columns over `rb` (inner); callers order the
 // operands so the inner sequence is the shorter one. Cell layout per
@@ -137,120 +138,111 @@ int32_t LocalScoreCore(const ScoringProfile& profile,
   return best;
 }
 
-// Rolling-row core for the global kernel; same layout as LocalScoreCore
-// with GlobalAlign's boundaries (leading gaps cost open + k*extend) and
-// no zero clamp. Returns max(M, X, Y) at the (rows, cols) corner.
-int32_t GlobalScoreCore(const ScoringProfile& profile,
-                        const std::vector<uint8_t>& ra,
-                        const std::vector<uint8_t>& rb,
-                        const GapPenalties& gaps, AlignScratch* scratch) {
-  const size_t rows = ra.size();
-  const size_t cols = rb.size();
+// Path statistics packed as columns << 32 | identity matches, so one add
+// extends a path by a column and one select picks a predecessor's path.
+constexpr uint64_t kOneColumn = uint64_t{1} << 32;
+
+// `if_true` when `take`, else `if_false`, selected through a mask: the
+// choices below follow the data, so branches on them would mispredict.
+inline uint64_t Pick(bool take, uint64_t if_true, uint64_t if_false) {
+  const uint64_t mask = uint64_t{0} - static_cast<uint64_t>(take);
+  return if_false ^ ((if_true ^ if_false) & mask);
+}
+
+// LocalScoreCore's recurrence, with `a` on the rows as in LocalAlign, and
+// beside every M, X and Y cell the packed statistics of the path
+// LocalAlign's TraceBack follows from that cell in that layer:
+//   M > 0:  the diagonal predecessor in the first of M, X, Y that holds
+//           max(M, X, Y)[i-1][j-1], plus this column;
+//   M == 0: the path stops — no columns;
+//   X, Y:   the extend predecessor when it reaches the cell's value, else
+//           the opening M cell, plus one gap column.
+// The end cell is the first strictly greater M in row-major order. `ca`
+// and `cb` are the profile codes of `a` and `b`; identity compares the
+// characters themselves, as Alignment::Identity does.
+LocalStats LocalStatsCore(const ScoringProfile& profile, std::string_view a,
+                          std::string_view b, const std::vector<uint8_t>& ca,
+                          const std::vector<uint8_t>& cb,
+                          const GapPenalties& gaps, AlignScratch* scratch) {
+  const size_t rows = a.size();
+  const size_t cols = b.size();
   const int32_t oe = gaps.open + gaps.extend;
   const int32_t ext = gaps.extend;
-  std::vector<int32_t>& rm = scratch->row_m;
-  std::vector<int32_t>& rx = scratch->row_x;
-  std::vector<int32_t>& rbest = scratch->row_best;
-  rm.assign(cols + 1, kNegInf32);
-  rx.assign(cols + 1, kNegInf32);
-  rbest.assign(cols + 1, kNegInf32);
-  rm[0] = 0;
-  rbest[0] = 0;
+  std::vector<AlignScratch::StatsColumn>& row = scratch->stats_row;
+  // Entry 0 is the local boundary column: M = max = 0, no path.
+  row.assign(cols + 1, {0, kNegInf32, 0, 0, 0, 0, 0, 0});
   for (size_t j = 1; j <= cols; ++j) {
-    // Y[0][j]: the all-leading-gap prefix.
-    rbest[j] = gaps.open + static_cast<int32_t>(j) * ext;
+    row[j].code = cb[j - 1];
+    row[j].residue = b[j - 1];
   }
+  AlignScratch::StatsColumn* const col = row.data();
+  int32_t best = 0;
+  uint64_t best_stats = 0;
   for (size_t i = 1; i <= rows; ++i) {
-    const int32_t* score_row = profile.Row(ra[i - 1]);
-    int32_t m_left = kNegInf32;     // M[i][0] is unreachable.
-    int32_t y_left = kNegInf32;     // Y[i][0] is unreachable.
-    int32_t best_diag = rbest[0];
-    // X[i][0]: the all-leading-gap prefix in the other sequence.
-    rbest[0] = gaps.open + static_cast<int32_t>(i) * ext;
-    rm[0] = kNegInf32;
+    const int32_t* score_row = profile.Row(ca[i - 1]);
+    const char residue = a[i - 1];
+    // Alignment::Identity cannot tell a '-' residue from a gap.
+    const uint64_t can_match = residue != '-';
+    int32_t m_left = 0;           // M[i][0] (local boundary).
+    int32_t y_left = kNegInf32;   // Y[i][0].
+    uint64_t sm_left = 0;
+    uint64_t sy_left = 0;
+    int32_t best_diag = 0;        // max(M, X, Y)[i-1][0].
+    uint64_t stat_diag = 0;
     for (size_t j = 1; j <= cols; ++j) {
-      int32_t mv = best_diag + score_row[rb[j - 1]];
-      int32_t xv = std::max(rm[j] + oe, rx[j] + ext);
-      int32_t yv = std::max(m_left + oe, y_left + ext);
-      int32_t bv = std::max(mv, std::max(xv, yv));
-      best_diag = rbest[j];
-      rm[j] = mv;
-      rx[j] = xv;
-      rbest[j] = bv;
+      AlignScratch::StatsColumn& c = col[j];
+      const uint64_t identity =
+          static_cast<uint64_t>(c.residue == residue) & can_match;
+      const int32_t mv = std::max(best_diag + score_row[c.code], 0);
+      const uint64_t msv = (stat_diag + kOneColumn + identity) &
+                           (uint64_t{0} - static_cast<uint64_t>(mv > 0));
+      const int32_t x_open = c.m + oe;
+      const int32_t x_ext = c.x + ext;
+      const int32_t xv = std::max(x_open, x_ext);
+      const uint64_t xsv =
+          Pick(x_ext >= x_open, c.stat_x, c.stat_m) + kOneColumn;
+      const int32_t y_open = m_left + oe;
+      const int32_t y_ext = y_left + ext;
+      const int32_t yv = std::max(y_open, y_ext);
+      const uint64_t ysv =
+          Pick(y_ext >= y_open, sy_left, sm_left) + kOneColumn;
+      const int32_t bv = std::max(mv, std::max(xv, yv));
+      const uint64_t bsv = Pick(mv == bv, msv, Pick(xv == bv, xsv, ysv));
+      best_diag = c.best;
+      stat_diag = c.stat_best;
+      c.m = mv;
+      c.x = xv;
+      c.best = bv;
+      c.stat_m = msv;
+      c.stat_x = xsv;
+      c.stat_best = bsv;
       m_left = mv;
       y_left = yv;
+      sm_left = msv;
+      sy_left = ysv;
+      // Rarely taken once the row's scores settle, so a branch is cheap.
+      if (mv > best) {
+        best = mv;
+        best_stats = msv;
+      }
     }
   }
   Metrics().cells->Add(rows * cols);
-  return rbest[cols];
+  LocalStats out;
+  out.score = best;
+  out.columns = static_cast<size_t>(best_stats >> 32);
+  out.matches = static_cast<size_t>(best_stats & 0xffffffffu);
+  return out;
 }
 
-// Banded local core over diagonal strips. Slot d of each array tracks the
-// diagonal j - i = center + d - band, so a slot's column advances by one
-// per row: the diagonal predecessor (i-1, j-1) is the same slot, the
-// vertical predecessor (i-1, j) is slot d + 1, and the horizontal
-// predecessor (i, j-1) is the just-computed slot d - 1. Cells outside the
-// band are unreachable (kNegInf32), which confines paths to the band and
-// makes the result a lower bound of the unbanded score.
-int32_t BandedLocalCore(const ScoringProfile& profile,
-                        const std::vector<uint8_t>& ra,
-                        const std::vector<uint8_t>& rb,
-                        const GapPenalties& gaps, int64_t center,
-                        size_t band, AlignScratch* scratch) {
-  const size_t rows = ra.size();
-  const int64_t cols = static_cast<int64_t>(rb.size());
-  const int32_t oe = gaps.open + gaps.extend;
-  const int32_t ext = gaps.extend;
-  const size_t width = 2 * band + 1;
-  std::vector<int32_t>& rm = scratch->row_m;
-  std::vector<int32_t>& rx = scratch->row_x;
-  std::vector<int32_t>& rbest = scratch->row_best;
-  // One sentinel slot past the strip so the vertical read d + 1 is safe.
-  rm.assign(width + 1, kNegInf32);
-  rx.assign(width + 1, kNegInf32);
-  rbest.assign(width + 1, kNegInf32);
-  // Row 0: M[0][j] = 0 for every in-range column (the local boundary).
-  for (size_t d = 0; d < width; ++d) {
-    int64_t j = center + static_cast<int64_t>(d) - static_cast<int64_t>(band);
-    if (j >= 0 && j <= cols) {
-      rm[d] = 0;
-      rbest[d] = 0;
-    }
+// The flat profile of `scoring`: the shared one for the default nucleotide
+// matrix (the `resembles` hot path), else one built into `*built`.
+const ScoringProfile& ProfileFor(const SubstitutionMatrix& scoring,
+                                 std::optional<ScoringProfile>* built) {
+  if (scoring == SubstitutionMatrix::Nucleotide()) {
+    return ScoringProfile::NucleotideDefault();
   }
-  int32_t best = 0;
-  for (size_t i = 1; i <= rows; ++i) {
-    const int32_t* score_row = profile.Row(ra[i - 1]);
-    int32_t m_left = kNegInf32;
-    int32_t y_left = kNegInf32;
-    for (size_t d = 0; d < width; ++d) {
-      int64_t j = static_cast<int64_t>(i) + center +
-                  static_cast<int64_t>(d) - static_cast<int64_t>(band);
-      int32_t mv, xv, yv, bv;
-      if (j < 0 || j > cols) {
-        mv = xv = yv = bv = kNegInf32;
-      } else if (j == 0) {
-        // The local boundary column.
-        mv = 0;
-        xv = kNegInf32;
-        yv = kNegInf32;
-        bv = 0;
-      } else {
-        mv = rbest[d] + score_row[rb[j - 1]];  // Diagonal: same slot.
-        if (mv < 0) mv = 0;
-        xv = std::max(rm[d + 1] + oe, rx[d + 1] + ext);  // Vertical.
-        yv = std::max(m_left + oe, y_left + ext);        // Horizontal.
-        bv = std::max(mv, std::max(xv, yv));
-        if (mv > best) best = mv;
-      }
-      rm[d] = mv;
-      rx[d] = xv;
-      rbest[d] = bv;
-      m_left = mv;
-      y_left = yv;
-    }
-  }
-  Metrics().cells->Add(rows * width);
-  return best;
+  return built->emplace(scoring);
 }
 
 }  // namespace
@@ -294,7 +286,8 @@ Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
   if (a.empty() || b.empty()) return int64_t{0};
   AlignScratch local;
   if (scratch == nullptr) scratch = &local;
-  ScoringProfile profile(scoring);
+  std::optional<ScoringProfile> built;
+  const ScoringProfile& profile = ProfileFor(scoring, &built);
   if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
     Metrics().full_dp_fallbacks->Increment();
     GENALG_ASSIGN_OR_RETURN(Alignment full,
@@ -312,54 +305,6 @@ Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
                                              scratch, nullptr, nullptr));
 }
 
-Result<int64_t> GlobalAlignScore(std::string_view a, std::string_view b,
-                                 const SubstitutionMatrix& scoring,
-                                 const GapPenalties& gaps,
-                                 AlignScratch* scratch) {
-  GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
-  AlignScratch local;
-  if (scratch == nullptr) scratch = &local;
-  ScoringProfile profile(scoring);
-  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
-    Metrics().full_dp_fallbacks->Increment();
-    GENALG_ASSIGN_OR_RETURN(Alignment full,
-                            GlobalAlign(a, b, scoring, gaps));
-    return full.score;
-  }
-  std::string_view outer = a.size() >= b.size() ? a : b;
-  std::string_view inner = a.size() >= b.size() ? b : a;
-  profile.Encode(outer, &scratch->codes_a);
-  profile.Encode(inner, &scratch->codes_b);
-  return static_cast<int64_t>(GlobalScoreCore(
-      profile, scratch->codes_a, scratch->codes_b, gaps, scratch));
-}
-
-Result<int64_t> BandedLocalAlignScore(std::string_view a, std::string_view b,
-                                      const SubstitutionMatrix& scoring,
-                                      const GapPenalties& gaps,
-                                      int64_t center_diagonal, size_t band,
-                                      AlignScratch* scratch) {
-  GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
-  if (a.empty() || b.empty()) return int64_t{0};
-  AlignScratch local;
-  if (scratch == nullptr) scratch = &local;
-  ScoringProfile profile(scoring);
-  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
-    Metrics().full_dp_fallbacks->Increment();
-    GENALG_ASSIGN_OR_RETURN(Alignment full,
-                            LocalAlign(a, b, scoring, gaps));
-    return full.score;
-  }
-  // The strip never usefully exceeds the full rectangle.
-  band = std::min(band, a.size() + b.size());
-  profile.Encode(a, &scratch->codes_a);
-  profile.Encode(b, &scratch->codes_b);
-  return static_cast<int64_t>(BandedLocalCore(profile, scratch->codes_a,
-                                              scratch->codes_b, gaps,
-                                              center_diagonal, band,
-                                              scratch));
-}
-
 Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,
                                const SubstitutionMatrix& scoring,
                                const GapPenalties& gaps, int64_t threshold,
@@ -369,7 +314,8 @@ Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,
   if (a.empty() || b.empty()) return false;
   AlignScratch local;
   if (scratch == nullptr) scratch = &local;
-  ScoringProfile profile(scoring);
+  std::optional<ScoringProfile> built;
+  const ScoringProfile& profile = ProfileFor(scoring, &built);
   if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
     Metrics().full_dp_fallbacks->Increment();
     GENALG_ASSIGN_OR_RETURN(Alignment full,
@@ -384,6 +330,32 @@ Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,
   LocalScoreCore(profile, scratch->codes_a, scratch->codes_b, gaps, scratch,
                  &threshold, &reached);
   return reached;
+}
+
+double LocalStats::Identity() const {
+  if (columns == 0) return 0.0;
+  return static_cast<double>(matches) / static_cast<double>(columns);
+}
+
+Result<LocalStats> LocalAlignStats(std::string_view a, std::string_view b,
+                                   const SubstitutionMatrix& scoring,
+                                   const GapPenalties& gaps,
+                                   AlignScratch* scratch) {
+  GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
+  if (a.empty() || b.empty()) return LocalStats();
+  AlignScratch local;
+  if (scratch == nullptr) scratch = &local;
+  std::optional<ScoringProfile> built;
+  const ScoringProfile& profile = ProfileFor(scoring, &built);
+  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
+    Metrics().full_dp_fallbacks->Increment();
+    GENALG_ASSIGN_OR_RETURN(Alignment full, LocalAlign(a, b, scoring, gaps));
+    return LocalStats{full.score, full.Length(), full.Matches()};
+  }
+  profile.Encode(a, &scratch->codes_a);
+  profile.Encode(b, &scratch->codes_b);
+  return LocalStatsCore(profile, a, b, scratch->codes_a, scratch->codes_b,
+                        gaps, scratch);
 }
 
 int64_t ResemblesScoreFloor(const ScoringProfile& profile,

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,19 +12,15 @@
 
 namespace genalg::align {
 
-/// Score-only alignment kernels: Gotoh's affine-gap recurrence with two
+/// Linear-memory alignment kernels: Gotoh's affine-gap recurrence with
 /// rolling rows instead of full DP matrices. Where the traceback aligners
 /// in aligner.h spend O(n*m) memory on three int64 matrices, these kernels
-/// spend O(min(n, m)) on three int32 rows and return the *same* score,
-/// bit for bit (verified by the property sweep in align_kernels_test).
-/// They back every consumer that needs only a score or a thresholded
-/// verdict — the `resembles` predicate, the mediator's similarity search,
-/// the warehouse integrator's content matching, and `align_score` in SQL.
-
-/// Sentinel meaning "no diagonal hint": callers that have no seed
-/// information pass this and the banded pre-screen is skipped.
-inline constexpr int64_t kNoDiagonalHint =
-    std::numeric_limits<int64_t>::min();
+/// keep one row of int32 cells (plus, for LocalAlignStats, one row of
+/// path statistics) and return the *same* results, bit for bit (verified
+/// by the property sweep in align_kernels_test). They back every consumer
+/// that needs a score, a thresholded verdict or the length and identity
+/// of the best alignment — the `resembles` predicate behind BQL, the
+/// mediator and the warehouse integrator, and `align_score` in SQL.
 
 /// Reusable per-worker DP scratch. All kernels (and the full-DP aligners,
 /// via their scratch overloads) carve their working memory out of one of
@@ -35,6 +30,17 @@ struct AlignScratch {
   // Rolling rows of the score-only kernels: M, X (gap in the inner
   // sequence) and max(M, X, Y) of the previous row.
   std::vector<int32_t> row_m, row_x, row_best;
+  // LocalAlignStats' rolling row, one entry per column of `b`: the same
+  // three cells of the previous row, the packed statistics of the paths
+  // through them, and the column's residue. One array keeps the kernel's
+  // inner loop on a single base pointer.
+  struct StatsColumn {
+    int32_t m, x, best;
+    uint8_t code;
+    char residue;
+    uint64_t stat_m, stat_x, stat_best;
+  };
+  std::vector<StatsColumn> stats_row;
   // Class-coded copies of the two inputs (the scoring profile operands).
   std::vector<uint8_t> codes_a, codes_b;
   // Full-DP int64 arena borrowed by the traceback aligners.
@@ -92,25 +98,6 @@ Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
                                 const GapPenalties& gaps = GapPenalties(),
                                 AlignScratch* scratch = nullptr);
 
-/// Needleman–Wunsch global score — identical to GlobalAlign(...).score —
-/// with the same rolling-row layout.
-Result<int64_t> GlobalAlignScore(std::string_view a, std::string_view b,
-                                 const SubstitutionMatrix& scoring,
-                                 const GapPenalties& gaps = GapPenalties(),
-                                 AlignScratch* scratch = nullptr);
-
-/// Banded local score: only cells whose diagonal j - i (j indexes `b`,
-/// i indexes `a`) lies within `band` of `center_diagonal` are filled, in
-/// O(band) memory and O(band * |a|) time. Paths are confined to the band,
-/// so the result is a lower bound of LocalAlignScore and equals it
-/// whenever the band covers the optimal alignment (always true for
-/// band >= |a| + |b|). Seed-and-extend callers pass the dominant seed
-/// diagonal from KmerIndex::Candidate::best_diagonal.
-Result<int64_t> BandedLocalAlignScore(
-    std::string_view a, std::string_view b,
-    const SubstitutionMatrix& scoring, const GapPenalties& gaps,
-    int64_t center_diagonal, size_t band, AlignScratch* scratch = nullptr);
-
 /// Thresholded local score with early termination: returns true iff
 /// LocalAlignScore(a, b) >= threshold, but stops filling rows as soon as
 /// the running maximum reaches the threshold, or as soon as the largest
@@ -119,6 +106,33 @@ Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,
                                const SubstitutionMatrix& scoring,
                                const GapPenalties& gaps, int64_t threshold,
                                AlignScratch* scratch = nullptr);
+
+/// Score, length and identity matches of the alignment LocalAlign(a, b)
+/// returns, decided without a traceback.
+struct LocalStats {
+  int64_t score = 0;
+  size_t columns = 0;  ///< Alignment::Length(), gap columns included.
+  size_t matches = 0;  ///< Alignment::Matches().
+
+  /// matches / columns, computed as Alignment::Identity() computes it.
+  double Identity() const;
+};
+
+/// Statistics of LocalAlign(a, b)'s alignment in O(|b|) memory and
+/// O(|a|*|b|) time. Besides the M/X/Y cells, each rolling row carries the
+/// (columns, identity matches) of the path LocalAlign's traceback would
+/// follow from that cell, so the result equals the traced alignment's
+/// Length() and Identity() exactly. That needs LocalAlign's tie rules:
+/// `a` on the rows; on the diagonal the predecessor layer is the first of
+/// M, X, Y holding the maximum; a gap run extends rather than opens on a
+/// tie; a path stops at an M cell of 0; and the end cell is the first
+/// strictly greater M in row-major order. Identity compares characters,
+/// not scores (N against A scores as a match but is no identity).
+/// `scratch` may be nullptr (a call-local scratch is used).
+Result<LocalStats> LocalAlignStats(std::string_view a, std::string_view b,
+                                   const SubstitutionMatrix& scoring,
+                                   const GapPenalties& gaps = GapPenalties(),
+                                   AlignScratch* scratch = nullptr);
 
 /// Smallest local-alignment score any alignment satisfying the
 /// `resembles` predicate (identity >= min_identity over >= min_overlap

@@ -41,6 +41,8 @@ class SubstitutionMatrix {
   /// for every character pair.
   int PairScore(uint8_t ca, uint8_t cb) const;
 
+  bool operator==(const SubstitutionMatrix& other) const = default;
+
  private:
   enum class Kind { kNucleotide, kMatrix };
 

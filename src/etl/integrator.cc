@@ -136,51 +136,29 @@ Result<std::vector<ReconciledEntry>> Integrator::Reconcile(
         seeded[i] = kmer_index.FindCandidates(corpus[i], 4);
       }
     });
+    // Verify every seeded pair in one batch, then merge. Each pair is
+    // decided on its own, so the connected components — and therefore
+    // the final entries — do not depend on the pool size.
+    std::vector<std::pair<const seq::NucleotideSequence*,
+                          const seq::NucleotideSequence*>>
+        pairs;
+    std::vector<std::pair<size_t, size_t>> pair_ids;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      for (const auto& candidate : seeded[i]) {
+        size_t j = candidate.doc;
+        if (j <= i) continue;  // Each pair once.
+        pairs.emplace_back(&corpus[i], &corpus[j]);
+        pair_ids.emplace_back(i, j);
+      }
+    }
+    GENALG_ASSIGN_OR_RETURN(
+        std::vector<align::ResemblesVerdict> verdicts,
+        align::BatchResembles(pairs, options_.min_identity,
+                              options_.min_overlap, pool));
     UnionFind clusters(entries.size());
-    if (pool->size() <= 1) {
-      // Serial path: interleave verification with merging so pairs whose
-      // endpoints are already connected skip their alignment entirely.
-      for (size_t i = 0; i < entries.size(); ++i) {
-        for (const auto& candidate : seeded[i]) {
-          size_t j = candidate.doc;
-          if (j <= i) continue;  // Each pair once.
-          if (clusters.Find(i) == clusters.Find(j)) continue;
-          // The dominant seed diagonal steers verification into a banded
-          // fill first; the verdict itself is hint-independent.
-          GENALG_ASSIGN_OR_RETURN(
-              bool similar,
-              align::Resembles(corpus[i], corpus[j], options_.min_identity,
-                               options_.min_overlap,
-                               candidate.best_diagonal));
-          if (similar) clusters.Union(i, j);
-        }
-      }
-    } else {
-      // Parallel path: extend-and-verify every seeded pair at once, then
-      // merge serially. The connected components — and therefore the
-      // final entries — equal the serial path's: a pair it skipped was
-      // already connected, so its verdict could not change a component.
-      std::vector<std::pair<const seq::NucleotideSequence*,
-                            const seq::NucleotideSequence*>>
-          pairs;
-      std::vector<std::pair<size_t, size_t>> pair_ids;
-      std::vector<int64_t> hints;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        for (const auto& candidate : seeded[i]) {
-          size_t j = candidate.doc;
-          if (j <= i) continue;
-          pairs.emplace_back(&corpus[i], &corpus[j]);
-          pair_ids.emplace_back(i, j);
-          hints.push_back(candidate.best_diagonal);
-        }
-      }
-      GENALG_ASSIGN_OR_RETURN(
-          std::vector<bool> verdicts,
-          align::BatchResembles(pairs, options_.min_identity,
-                                options_.min_overlap, pool, &hints));
-      for (size_t p = 0; p < pair_ids.size(); ++p) {
-        if (verdicts[p]) clusters.Union(pair_ids[p].first,
-                                        pair_ids[p].second);
+    for (size_t p = 0; p < pair_ids.size(); ++p) {
+      if (verdicts[p].hit) {
+        clusters.Union(pair_ids[p].first, pair_ids[p].second);
       }
     }
     // Merge clusters under the smallest accession.

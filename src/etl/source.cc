@@ -1,5 +1,8 @@
 #include "etl/source.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "base/strings.h"
 #include "formats/genbank.h"
 #include "formats/tree.h"
@@ -9,6 +12,66 @@
 namespace genalg::etl {
 
 using formats::SequenceRecord;
+
+namespace {
+
+// Relational rows carry features as `;`-separated
+// id,kind,begin,end,strand,confidence tuples — every feature field the
+// warehouse stores. Confidence is written to 17 significant digits, so it
+// parses back to the same double.
+std::string FormatFeatures(const std::vector<gdt::Feature>& features) {
+  std::string out;
+  for (const gdt::Feature& f : features) {
+    if (!out.empty()) out += ';';
+    char confidence[32];
+    std::snprintf(confidence, sizeof(confidence), "%.17g", f.confidence);
+    out += f.id + "," + std::string(gdt::FeatureKindToString(f.kind)) + "," +
+           std::to_string(f.span.begin) + "," + std::to_string(f.span.end) +
+           "," +
+           (f.strand == gdt::Strand::kReverse   ? "-"
+            : f.strand == gdt::Strand::kUnknown ? "?"
+                                                : "+") +
+           "," + confidence;
+  }
+  return out;
+}
+
+Result<std::vector<gdt::Feature>> ParseFeatures(const std::string& text) {
+  std::vector<gdt::Feature> out;
+  if (text.empty()) return out;
+  for (const std::string& item : Split(text, ';')) {
+    auto fields = Split(item, ',');
+    if (fields.size() != 6) {
+      return Status::Corruption("malformed relational feature: " + item);
+    }
+    gdt::Feature f;
+    f.id = fields[0];
+    f.kind = gdt::FeatureKindFromString(fields[1]);
+    char* begin_end = nullptr;
+    char* end_end = nullptr;
+    char* confidence_end = nullptr;
+    f.span.begin = std::strtoull(fields[2].c_str(), &begin_end, 10);
+    f.span.end = std::strtoull(fields[3].c_str(), &end_end, 10);
+    f.confidence = std::strtod(fields[5].c_str(), &confidence_end);
+    if (fields[2].empty() || *begin_end != '\0' || fields[3].empty() ||
+        *end_end != '\0' || fields[5].empty() || *confidence_end != '\0') {
+      return Status::Corruption("malformed relational feature: " + item);
+    }
+    if (fields[4] == "+") {
+      f.strand = gdt::Strand::kForward;
+    } else if (fields[4] == "-") {
+      f.strand = gdt::Strand::kReverse;
+    } else if (fields[4] == "?") {
+      f.strand = gdt::Strand::kUnknown;
+    } else {
+      return Status::Corruption("malformed relational feature: " + item);
+    }
+    out.push_back(std::move(f));
+  }
+  return out;
+}
+
+}  // namespace
 
 std::string_view RepresentationToString(SourceRepresentation r) {
   switch (r) {
@@ -232,12 +295,14 @@ Result<std::string> SyntheticSource::Snapshot() const {
       return formats::WriteTree(roots);
     }
     case SourceRepresentation::kRelational: {
-      // key|version|organism|description|sequence — one row per line.
+      // key|version|organism|description|sequence|source|features — one
+      // row per line.
       std::string out;
       for (const SequenceRecord& r : records) {
         out += r.accession + "|" + std::to_string(r.version) + "|" +
                r.organism + "|" + r.description + "|" +
-               r.sequence.ToString() + "\n";
+               r.sequence.ToString() + "|" + r.source_db + "|" +
+               FormatFeatures(r.features) + "\n";
       }
       return out;
     }
@@ -266,7 +331,7 @@ Result<std::vector<SequenceRecord>> SyntheticSource::ParseSnapshot(
       for (const std::string& line : Split(text, '\n')) {
         if (line.empty()) continue;
         auto fields = Split(line, '|');
-        if (fields.size() != 5) {
+        if (fields.size() != 7) {
           return Status::Corruption("malformed relational row: " + line);
         }
         SequenceRecord record;
@@ -276,6 +341,8 @@ Result<std::vector<SequenceRecord>> SyntheticSource::ParseSnapshot(
         record.description = fields[3];
         GENALG_ASSIGN_OR_RETURN(record.sequence,
                                 seq::NucleotideSequence::Dna(fields[4]));
+        record.source_db = fields[5];
+        GENALG_ASSIGN_OR_RETURN(record.features, ParseFeatures(fields[6]));
         out.push_back(std::move(record));
       }
       return out;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -10,9 +11,16 @@
 #include "align/scoring.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "obs/metrics.h"
 #include "seq/nucleotide_sequence.h"
 
 namespace genalg::align {
+
+void PrintTo(const ResemblesVerdict& v, std::ostream* os) {
+  *os << "{hit=" << v.hit << " identity=" << v.identity
+      << " score=" << v.score << "}";
+}
+
 namespace {
 
 using seq::NucleotideSequence;
@@ -60,15 +68,38 @@ TEST(KernelTest, LocalScoreMatchesFullDpPropertySweep) {
   }
 }
 
-TEST(KernelTest, GlobalScoreMatchesFullDpPropertySweep) {
+void ExpectStatsMatchFullDp(std::string_view a, std::string_view b,
+                            const SubstitutionMatrix& scoring,
+                            const GapPenalties& gaps, AlignScratch* scratch) {
+  auto full = LocalAlign(a, b, scoring, gaps);
+  ASSERT_TRUE(full.ok());
+  auto stats = LocalAlignStats(a, b, scoring, gaps, scratch);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->score, full->score)
+      << "a=" << a << " b=" << b << " open=" << gaps.open
+      << " extend=" << gaps.extend;
+  EXPECT_EQ(stats->columns, full->Length())
+      << "a=" << a << " b=" << b << " open=" << gaps.open
+      << " extend=" << gaps.extend;
+  EXPECT_EQ(stats->matches, full->Matches())
+      << "a=" << a << " b=" << b << " open=" << gaps.open
+      << " extend=" << gaps.extend;
+  EXPECT_EQ(stats->Identity(), full->Identity());
+}
+
+TEST(KernelTest, LocalStatsMatchFullDpPropertySweep) {
   Rng rng(77);
   AlignScratch scratch;
   struct Case {
     std::string_view alphabet;
     const SubstitutionMatrix& scoring;
   };
+  // Two-letter alphabets and a 1/-3 scheme make equal-scoring paths
+  // common, so the traceback's tie rules decide length and identity.
   const Case cases[] = {
       {kDna, SubstitutionMatrix::Nucleotide()},
+      {"AT", SubstitutionMatrix::Nucleotide()},
+      {"GN", SubstitutionMatrix::Nucleotide()},
       {kIupac, SubstitutionMatrix::Nucleotide(1, -3)},
       {kProtein, SubstitutionMatrix::Blosum62()},
   };
@@ -76,18 +107,33 @@ TEST(KernelTest, GlobalScoreMatchesFullDpPropertySweep) {
     for (const GapPenalties& gaps : kGapGrid) {
       for (int trial = 0; trial < 12; ++trial) {
         const std::string a =
-            rng.RandomString(rng.Uniform(48), c.alphabet);
+            rng.RandomString(rng.Uniform(64), c.alphabet);
         const std::string b =
-            rng.RandomString(rng.Uniform(48), c.alphabet);
-        auto full = GlobalAlign(a, b, c.scoring, gaps);
-        ASSERT_TRUE(full.ok());
-        auto fast = GlobalAlignScore(a, b, c.scoring, gaps, &scratch);
-        ASSERT_TRUE(fast.ok());
-        EXPECT_EQ(*fast, full->score)
-            << "global a=" << a << " b=" << b << " open=" << gaps.open
-            << " extend=" << gaps.extend;
+            rng.RandomString(rng.Uniform(64), c.alphabet);
+        ExpectStatsMatchFullDp(a, b, c.scoring, gaps, &scratch);
+        ExpectStatsMatchFullDp(b, a, c.scoring, gaps, &scratch);
       }
     }
+  }
+}
+
+TEST(KernelTest, LocalStatsMatchFullDpOnShiftedMutatedCopy) {
+  // A mutated copy shifted by a known offset, with indels: the best path
+  // crosses gap runs in both layers.
+  Rng rng(17);
+  AlignScratch scratch;
+  const std::string core = rng.RandomDna(200);
+  std::string b = rng.RandomDna(37);
+  for (size_t i = 0; i < core.size(); ++i) {
+    if (rng.Bernoulli(0.03)) b += rng.RandomDna(1 + rng.Uniform(4));
+    if (rng.Bernoulli(0.03)) continue;
+    b.push_back(rng.Bernoulli(0.05) ? rng.Pick(kDna) : core[i]);
+  }
+  for (const GapPenalties& gaps : kGapGrid) {
+    ExpectStatsMatchFullDp(core, b, SubstitutionMatrix::Nucleotide(), gaps,
+                           &scratch);
+    ExpectStatsMatchFullDp(b, core, SubstitutionMatrix::Nucleotide(), gaps,
+                           &scratch);
   }
 }
 
@@ -96,14 +142,19 @@ TEST(KernelTest, EmptyAndDegenerateInputs) {
   EXPECT_EQ(LocalAlignScore("", "", nuc).value(), 0);
   EXPECT_EQ(LocalAlignScore("ACGT", "", nuc).value(), 0);
   EXPECT_EQ(LocalAlignScore("", "ACGT", nuc).value(), 0);
-  EXPECT_EQ(GlobalAlignScore("", "", nuc).value(), 0);
-  // Global vs one empty side: pure gap run.
-  GapPenalties gaps{-5, -1};
-  EXPECT_EQ(GlobalAlignScore("ACG", "", nuc, gaps).value(),
-            GlobalAlign("ACG", "", nuc, gaps)->score);
+  for (auto [a, b] : {std::pair<std::string_view, std::string_view>{"", ""},
+                      {"ACG", ""},
+                      {"", "ACG"},
+                      {"AAAA", "CCCC"}}) {
+    auto stats = LocalAlignStats(a, b, nuc);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->score, 0);
+    EXPECT_EQ(stats->columns, 0u);
+    EXPECT_EQ(stats->Identity(), 0.0);
+  }
   // Invalid gap penalties are rejected like the full aligners reject them.
   EXPECT_FALSE(LocalAlignScore("A", "A", nuc, GapPenalties{1, 0}).ok());
-  EXPECT_FALSE(GlobalAlignScore("A", "A", nuc, GapPenalties{0, 2}).ok());
+  EXPECT_FALSE(LocalAlignStats("A", "A", nuc, GapPenalties{0, 2}).ok());
 }
 
 TEST(KernelTest, Int32OverflowGuardFallsBackToFullDp) {
@@ -118,61 +169,8 @@ TEST(KernelTest, Int32OverflowGuardFallsBackToFullDp) {
   auto full = LocalAlign(a, b, big, gaps);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(LocalAlignScore(a, b, big, gaps).value(), full->score);
-  EXPECT_EQ(GlobalAlignScore(a, b, big, gaps).value(),
-            GlobalAlign(a, b, big, gaps)->score);
-}
-
-// ------------------------------------------------------------- Banded.
-
-TEST(KernelTest, BandedCoveringBandEqualsUnbanded) {
-  Rng rng(11);
   AlignScratch scratch;
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  for (const GapPenalties& gaps : kGapGrid) {
-    for (int trial = 0; trial < 16; ++trial) {
-      const std::string a = rng.RandomString(rng.Uniform(48), kIupac);
-      const std::string b = rng.RandomString(rng.Uniform(48), kIupac);
-      const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-      // A band spanning every diagonal cannot exclude the optimum.
-      auto wide = BandedLocalAlignScore(a, b, nuc, gaps, 0,
-                                        a.size() + b.size(), &scratch);
-      ASSERT_TRUE(wide.ok());
-      EXPECT_EQ(*wide, exact) << "a=" << a << " b=" << b;
-    }
-  }
-}
-
-TEST(KernelTest, BandedIsLowerBoundOfUnbanded) {
-  Rng rng(13);
-  AlignScratch scratch;
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  const GapPenalties gaps;
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::string a = rng.RandomDna(1 + rng.Uniform(60));
-    const std::string b = rng.RandomDna(1 + rng.Uniform(60));
-    const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-    const int64_t center =
-        rng.UniformInt(-static_cast<int64_t>(a.size()),
-                       static_cast<int64_t>(b.size()));
-    auto banded = BandedLocalAlignScore(a, b, nuc, gaps, center,
-                                        rng.Uniform(12), &scratch);
-    ASSERT_TRUE(banded.ok());
-    EXPECT_LE(*banded, exact);
-    EXPECT_GE(*banded, 0);
-  }
-}
-
-TEST(KernelTest, BandedAroundTrueDiagonalFindsRelatedPair) {
-  // A mutated copy shifted by a known offset: the band centered on that
-  // offset must recover the full score.
-  Rng rng(17);
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  const GapPenalties gaps;
-  const std::string core = rng.RandomDna(200);
-  std::string a = core;
-  std::string b = rng.RandomDna(37) + core;  // Diagonal j - i = +37.
-  const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-  EXPECT_EQ(BandedLocalAlignScore(a, b, nuc, gaps, 37, 8).value(), exact);
+  ExpectStatsMatchFullDp(a, b, big, gaps, &scratch);
 }
 
 // ----------------------------------------------------- Early termination.
@@ -201,48 +199,89 @@ TEST(KernelTest, ReachesAgreesWithExactScoreAcrossThresholds) {
 
 // ------------------------------------------- Resembles screen soundness.
 
-// Reference implementation: the pre-kernel slow path.
-Result<bool> ResemblesByFullAlignment(const NucleotideSequence& a,
-                                      const NucleotideSequence& b,
-                                      double min_identity,
-                                      size_t min_overlap) {
-  GENALG_ASSIGN_OR_RETURN(Alignment best, LocalAlign(a, b));
-  if (best.Length() < min_overlap) return false;
-  return best.Identity() >= min_identity;
+// The identity x overlap grid every `resembles` sweep runs over.
+const double kIdentities[] = {0.0, 0.5, 0.8, 0.95, 1.0};
+const size_t kOverlaps[] = {0, 4, 16, 64, 500};
+
+// Reference verdict: the full traceback alignment, measured directly.
+ResemblesVerdict ReferenceVerdict(const Alignment& best, double min_identity,
+                                  size_t min_overlap) {
+  ResemblesVerdict out;
+  if (best.Length() < min_overlap || best.Identity() < min_identity) {
+    return out;
+  }
+  out.hit = true;
+  out.identity = best.Identity();
+  out.score = best.score;
+  return out;
 }
 
-TEST(KernelTest, ResemblesVerdictsMatchFullEvaluation) {
-  Rng rng(31);
-  const double identities[] = {0.0, 0.5, 0.8, 0.95, 1.0};
-  const size_t overlaps[] = {0, 4, 16, 64, 500};
-  for (int trial = 0; trial < 30; ++trial) {
-    // Mix of related pairs (mutated copies) and unrelated noise.
-    std::string sa = rng.RandomDna(40 + rng.Uniform(120));
-    std::string sb;
-    if (trial % 2 == 0) {
-      sb = sa;
-      for (char& ch : sb) {
-        if (rng.Bernoulli(0.12)) ch = rng.Pick(kDna);
-      }
-    } else {
-      sb = rng.RandomDna(40 + rng.Uniform(120));
+// Random, mutated-copy (substitutions and indels) and tie-heavy pairs
+// (two-letter alphabets, N runs) of 1-200 bases, each in both argument
+// orders.
+std::vector<std::pair<NucleotideSequence, NucleotideSequence>> SweepPairs(
+    uint64_t seed, int per_kind) {
+  Rng rng(seed);
+  std::vector<std::pair<NucleotideSequence, NucleotideSequence>> out;
+  auto add = [&](const std::string& a, const std::string& b) {
+    auto sa = NucleotideSequence::Dna(a).value();
+    auto sb = NucleotideSequence::Dna(b).value();
+    out.emplace_back(sa, sb);
+    out.emplace_back(sb, sa);
+  };
+  auto mutate = [&](const std::string& s, std::string_view alphabet) {
+    std::string m;
+    for (char ch : s) {
+      if (rng.Bernoulli(0.03)) m += rng.RandomString(1 + rng.Uniform(3),
+                                                     alphabet);
+      if (rng.Bernoulli(0.03)) continue;
+      m.push_back(rng.Bernoulli(0.1) ? rng.Pick(alphabet) : ch);
     }
-    auto a = NucleotideSequence::Dna(sa).value();
-    auto b = NucleotideSequence::Dna(sb).value();
-    for (double min_identity : identities) {
-      for (size_t min_overlap : overlaps) {
-        const bool expected =
-            ResemblesByFullAlignment(a, b, min_identity, min_overlap)
-                .value();
-        EXPECT_EQ(Resembles(a, b, min_identity, min_overlap).value(),
-                  expected)
-            << "identity=" << min_identity << " overlap=" << min_overlap;
-        // A hint — right, wrong, or absurd — must never flip a verdict.
-        const int64_t hint = rng.UniformInt(-200, 200);
-        EXPECT_EQ(
-            Resembles(a, b, min_identity, min_overlap, hint).value(),
-            expected)
-            << "hint=" << hint;
+    return m.empty() ? std::string(1, rng.Pick(alphabet)) : m;
+  };
+  for (int trial = 0; trial < per_kind; ++trial) {
+    add(rng.RandomDna(1 + rng.Uniform(200)),
+        rng.RandomDna(1 + rng.Uniform(200)));
+    const std::string base = rng.RandomDna(1 + rng.Uniform(200));
+    add(base, mutate(base, kDna));
+    const std::string_view pair_alphabet = trial % 2 == 0 ? "AT" : "GC";
+    std::string tied = rng.RandomString(1 + rng.Uniform(200), pair_alphabet);
+    for (size_t n = rng.Uniform(3); n > 0; --n) {
+      const size_t at = rng.Uniform(tied.size());
+      tied.replace(at, std::min<size_t>(1 + rng.Uniform(8), tied.size() - at),
+                   std::string(1 + rng.Uniform(8), 'N'));
+    }
+    add(tied, mutate(tied, trial % 3 == 0 ? "ATN" : pair_alphabet));
+  }
+  return out;
+}
+
+TEST(KernelTest, ResemblesMatchesFullEvaluationPropertySweep) {
+  const auto sweep = SweepPairs(31, 30);
+  std::vector<std::pair<const NucleotideSequence*, const NucleotideSequence*>>
+      pairs;
+  std::vector<Alignment> oracle;
+  for (const auto& [a, b] : sweep) {
+    pairs.emplace_back(&a, &b);
+    oracle.push_back(LocalAlign(a, b).value());
+  }
+  ThreadPool pool(2);
+  for (double min_identity : kIdentities) {
+    for (size_t min_overlap : kOverlaps) {
+      auto batch = BatchResembles(pairs, min_identity, min_overlap, &pool);
+      ASSERT_TRUE(batch.ok());
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        const ResemblesVerdict want =
+            ReferenceVerdict(oracle[p], min_identity, min_overlap);
+        EXPECT_EQ((*batch)[p], want)
+            << "pair " << p << " identity=" << min_identity
+            << " overlap=" << min_overlap;
+        EXPECT_EQ(Resembles(*pairs[p].first, *pairs[p].second,
+                            min_identity, min_overlap)
+                      .value(),
+                  want.hit)
+            << "pair " << p << " identity=" << min_identity
+            << " overlap=" << min_overlap;
       }
     }
   }
@@ -257,59 +296,54 @@ TEST(KernelTest, ResemblesEdgeVerdicts) {
   EXPECT_FALSE(Resembles(acgt, acgt, 1.5, 0).ok());  // Out of range.
   EXPECT_FALSE(Resembles(acgt, acgt, -0.1, 0).ok());
   EXPECT_TRUE(Resembles(acgt, acgt, 1.0, 4).value());
+  const std::vector<std::pair<const NucleotideSequence*,
+                              const NucleotideSequence*>>
+      pairs = {{&acgt, &acgt}};
+  EXPECT_FALSE(BatchResembles(pairs, 1.5, 0).ok());
 }
 
-// --------------------------------------------------------- Batch drivers.
+TEST(KernelTest, ResemblesDecidesWithoutTraceback) {
+  // Every pair that clears the score floor takes one statistics fill and
+  // no traceback DP; the fill's cells land in align.kernel.cells.
+  Rng rng(37);
+  auto a = NucleotideSequence::Dna(rng.RandomDna(300)).value();
+  auto b = NucleotideSequence::Dna(rng.RandomDna(50)).value();
+  const auto before = obs::Registry::Global().Snapshot();
+  ASSERT_TRUE(Resembles(a, b).ok());
+  const auto delta = obs::Registry::Global().Snapshot().Since(before);
+  EXPECT_EQ(delta.counter("align.resembles.stat_fills"), 1u);
+  EXPECT_EQ(delta.counter("align.resembles.confirm_dps"), 0u);
+  EXPECT_EQ(delta.counter("align.kernel.full_dp_fallbacks"), 0u);
+  EXPECT_GE(delta.counter("align.kernel.cells"), 300u * 50u);
+}
+
+// ---------------------------------------------------- Batch entry point.
 
 TEST(KernelTest, BatchResemblesIdenticalAcrossPoolSizes) {
-  Rng rng(41);
-  std::vector<NucleotideSequence> store;
-  for (int i = 0; i < 24; ++i) {
-    std::string s = rng.RandomDna(60 + rng.Uniform(80));
-    if (i % 3 == 0 && !store.empty()) {
-      s = store.back().ToString();
-      for (char& ch : s) {
-        if (rng.Bernoulli(0.1)) ch = rng.Pick(kDna);
-      }
-    }
-    store.push_back(NucleotideSequence::Dna(s).value());
-  }
-  std::vector<std::pair<const NucleotideSequence*,
-                        const NucleotideSequence*>>
+  const auto sweep = SweepPairs(41, 12);
+  std::vector<std::pair<const NucleotideSequence*, const NucleotideSequence*>>
       pairs;
-  std::vector<int64_t> hints;
-  for (size_t i = 0; i < store.size(); ++i) {
-    for (size_t j = i + 1; j < store.size(); j += 3) {
-      pairs.emplace_back(&store[i], &store[j]);
-      hints.push_back(rng.Bernoulli(0.5) ? rng.UniformInt(-40, 40)
-                                         : kNoDiagonalHint);
-    }
-  }
+  for (const auto& [a, b] : sweep) pairs.emplace_back(&a, &b);
   ThreadPool serial(1);
-  auto baseline = BatchResembles(pairs, 0.8, 16, &serial, &hints);
+  auto baseline = BatchResembles(pairs, 0.8, 16, &serial);
   ASSERT_TRUE(baseline.ok());
   // The serial batch equals the one-call-at-a-time loop...
   for (size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_EQ((*baseline)[p],
-              Resembles(*pairs[p].first, *pairs[p].second, 0.8, 16,
-                        hints[p])
-                  .value());
+    EXPECT_EQ((*baseline)[p].hit,
+              Resembles(*pairs[p].first, *pairs[p].second, 0.8, 16).value());
   }
   // ...and every pool size reproduces it, with per-worker scratch reuse.
   for (size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     for (int repeat = 0; repeat < 3; ++repeat) {
-      auto verdicts = BatchResembles(pairs, 0.8, 16, &pool, &hints);
+      auto verdicts = BatchResembles(pairs, 0.8, 16, &pool);
       ASSERT_TRUE(verdicts.ok());
       EXPECT_EQ(*verdicts, *baseline) << "threads=" << threads;
     }
   }
-  // Mis-sized hint vectors are rejected.
-  std::vector<int64_t> short_hints(pairs.size() - 1, kNoDiagonalHint);
-  EXPECT_FALSE(BatchResembles(pairs, 0.8, 16, &serial, &short_hints).ok());
 }
 
-TEST(KernelTest, BatchSimilarityMatchesDirectLoop) {
+TEST(KernelTest, BatchResemblesReportsIdentityAndScoreOfHits) {
   Rng rng(43);
   auto query = NucleotideSequence::Dna(rng.RandomDna(150)).value();
   std::vector<NucleotideSequence> store;
@@ -326,23 +360,22 @@ TEST(KernelTest, BatchSimilarityMatchesDirectLoop) {
     }
     store.push_back(NucleotideSequence::Dna(s).value());
   }
-  std::vector<const NucleotideSequence*> targets;
-  for (const auto& s : store) targets.push_back(&s);
+  std::vector<std::pair<const NucleotideSequence*, const NucleotideSequence*>>
+      pairs;
+  for (const auto& s : store) pairs.emplace_back(&s, &query);
   for (size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
-    auto verdicts = BatchSimilarity(query, targets, 0.8, 16, &pool);
+    auto verdicts = BatchResembles(pairs, 0.8, 16, &pool);
     ASSERT_TRUE(verdicts.ok());
-    ASSERT_EQ(verdicts->size(), targets.size());
-    for (size_t i = 0; i < targets.size(); ++i) {
-      Alignment full = LocalAlign(query, *targets[i]).value();
-      const bool hit =
-          full.Length() >= 16 && full.Identity() >= 0.8;
-      EXPECT_EQ((*verdicts)[i].hit, hit) << "target " << i;
-      if (hit) {
-        EXPECT_DOUBLE_EQ((*verdicts)[i].identity, full.Identity());
-        EXPECT_EQ((*verdicts)[i].score, full.score);
-      }
+    ASSERT_EQ(verdicts->size(), pairs.size());
+    size_t hits = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      Alignment full = LocalAlign(store[i], query).value();
+      EXPECT_EQ((*verdicts)[i], ReferenceVerdict(full, 0.8, 16))
+          << "target " << i;
+      hits += (*verdicts)[i].hit ? 1 : 0;
     }
+    EXPECT_GE(hits, 8u);
   }
 }
 
@@ -361,17 +394,19 @@ TEST(KernelTest, ScratchReuseDoesNotLeakStateAcrossCalls) {
                       .value(),
                   LocalAlignScore(a, b, nuc).value());
         break;
-      case 1:
-        EXPECT_EQ(GlobalAlignScore(a, b, nuc, GapPenalties(), &scratch)
-                      .value(),
-                  GlobalAlignScore(a, b, nuc).value());
+      case 1: {
+        const LocalStats reused =
+            LocalAlignStats(a, b, nuc, GapPenalties(), &scratch).value();
+        const LocalStats fresh = LocalAlignStats(a, b, nuc).value();
+        EXPECT_EQ(reused.score, fresh.score);
+        EXPECT_EQ(reused.columns, fresh.columns);
+        EXPECT_EQ(reused.matches, fresh.matches);
         break;
+      }
       default:
-        EXPECT_EQ(BandedLocalAlignScore(a, b, nuc, GapPenalties(), 3, 9,
-                                        &scratch)
+        EXPECT_EQ(LocalScoreReaches(a, b, nuc, GapPenalties(), 9, &scratch)
                       .value(),
-                  BandedLocalAlignScore(a, b, nuc, GapPenalties(), 3, 9)
-                      .value());
+                  LocalScoreReaches(a, b, nuc, GapPenalties(), 9).value());
     }
   }
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "algebra/signature.h"
 #include "base/rng.h"
@@ -153,10 +155,74 @@ TEST(SyntheticSourceTest, SnapshotRoundTripsAllRepresentations) {
     ASSERT_EQ(parsed->size(), 5u);
     auto originals = source.AllRecords();
     for (size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ((*parsed)[i].accession, originals[i].accession);
-      EXPECT_EQ((*parsed)[i].sequence, originals[i].sequence);
+      // Every field the warehouse stores survives the dump.
+      const SequenceRecord& got = (*parsed)[i];
+      const SequenceRecord& want = originals[i];
+      const std::string where = std::string(RepresentationToString(repr)) +
+                                " " + want.accession;
+      EXPECT_EQ(got.accession, want.accession) << where;
+      EXPECT_EQ(got.version, want.version) << where;
+      EXPECT_EQ(got.organism, want.organism) << where;
+      EXPECT_EQ(got.description, want.description) << where;
+      EXPECT_EQ(got.source_db, want.source_db) << where;
+      EXPECT_EQ(got.sequence, want.sequence) << where;
+      EXPECT_EQ(got.features, want.features) << where;
     }
   }
+}
+
+TEST(SyntheticSourceTest, RelationalRefreshKeepsFeatures) {
+  // A relational, non-queryable source is only ever seen through its
+  // snapshots, so an update reaches the warehouse as a parsed row; its
+  // features must arrive with it.
+  algebra::SignatureRegistry algebra;
+  ASSERT_TRUE(algebra::RegisterStandardAlgebra(&algebra).ok());
+  udb::Adapter adapter(&algebra);
+  ASSERT_TRUE(udb::RegisterStandardUdts(&adapter).ok());
+  udb::Database db(&adapter);
+  Warehouse warehouse(&db);
+  ASSERT_TRUE(warehouse.InitSchema().ok());
+  SyntheticSource source("RLF", SourceRepresentation::kRelational,
+                         SourceCapability::kNonQueryable, 401);
+  ASSERT_TRUE(source.Populate(20, 200).ok());
+  EtlPipeline pipeline(&warehouse);
+  ASSERT_TRUE(pipeline.AddSource(&source).ok());
+  ASSERT_TRUE(pipeline.InitialLoad().ok());
+  ASSERT_TRUE(source.EvolveStep(0.5, 0.2).ok());
+  auto round = pipeline.RunOnce();
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  ASSERT_GT(round->deltas_applied, 0u);
+
+  using FeatureRow = std::tuple<std::string, std::string, std::string,
+                                int64_t, int64_t, std::string, double>;
+  std::vector<FeatureRow> want;
+  for (const SequenceRecord& r : source.AllRecords()) {
+    for (const gdt::Feature& f : r.features) {
+      want.emplace_back(r.accession, f.id,
+                        std::string(gdt::FeatureKindToString(f.kind)),
+                        static_cast<int64_t>(f.span.begin),
+                        static_cast<int64_t>(f.span.end),
+                        f.strand == gdt::Strand::kReverse   ? "-"
+                        : f.strand == gdt::Strand::kUnknown ? "?"
+                                                            : "+",
+                        f.confidence);
+    }
+  }
+  auto served = db.Execute(
+      "SELECT accession, fid, kind, begin, fin, strand, confidence FROM "
+      "features");
+  ASSERT_TRUE(served.ok());
+  std::vector<FeatureRow> got;
+  for (const udb::Row& row : served->rows) {
+    got.emplace_back(row[0].AsString().value(), row[1].AsString().value(),
+                     row[2].AsString().value(), row[3].AsInt().value(),
+                     row[4].AsInt().value(), row[5].AsString().value(),
+                     row[6].AsReal().value());
+  }
+  ASSERT_FALSE(want.empty());
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 TEST(SyntheticSourceTest, EvolveBumpsVersionsDeterministically) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "algebra/signature.h"
+#include "align/aligner.h"
 #include "base/rng.h"
 #include "bql/bql.h"
 #include "bql/render.h"
@@ -516,6 +519,66 @@ TEST_F(BqlEndToEndTest, WarehouseAndMediatorAgreeOnContains) {
   auto warehoused = bql::RunBql(db_.get(),
                                 "find sequences containing ATTGCCATA");
   ASSERT_EQ(warehoused->rows.size(), 1u);
+}
+
+TEST(WarehouseMediatorAgreementTest, ResemblingHitSetsMatch) {
+  // BQL evaluates resembles(stored, pattern) and the mediator must too:
+  // on tied best alignments the argument order decides the verdict. The
+  // first pattern is such a tie — Resembles(B3100055, pattern) is false,
+  // the swapped call true — so a query-first mediator returns B3100055
+  // and BQL does not.
+  algebra::SignatureRegistry algebra;
+  ASSERT_TRUE(algebra::RegisterStandardAlgebra(&algebra).ok());
+  udb::Adapter adapter(&algebra);
+  ASSERT_TRUE(udb::RegisterStandardUdts(&adapter).ok());
+  udb::Database db(&adapter);
+  etl::Warehouse warehouse(&db);
+  ASSERT_TRUE(warehouse.InitSchema().ok());
+  SyntheticSource source("B3", SourceRepresentation::kFlatFile,
+                         SourceCapability::kActive, 9003);
+  ASSERT_TRUE(source.Populate(100, 500).ok());
+  etl::EtlPipeline pipeline(&warehouse);
+  ASSERT_TRUE(pipeline.AddSource(&source).ok());
+  ASSERT_TRUE(pipeline.InitialLoad().ok());
+  mediator::Mediator mediator;
+  mediator.AddSource(&source);
+
+  const std::string tied = "GTGAAGGTATTAAGCCTCAGGGTATCAGAGTCCCTGTAAC";
+  std::string stored;
+  for (const SequenceRecord& r : source.AllRecords()) {
+    if (r.accession == "B3100055") stored = r.sequence.ToString();
+  }
+  ASSERT_FALSE(stored.empty());
+  auto tied_seq = NucleotideSequence::Dna(tied).value();
+  auto stored_seq = NucleotideSequence::Dna(stored).value();
+  ASSERT_FALSE(align::Resembles(stored_seq, tied_seq).value());
+  ASSERT_TRUE(align::Resembles(tied_seq, stored_seq).value());
+
+  Rng rng(9003);
+  std::vector<std::string> patterns = {tied};
+  for (const SequenceRecord& r : source.AllRecords()) {
+    if (patterns.size() == 6) break;
+    std::string piece = r.sequence.ToString().substr(40, 45);
+    for (char& c : piece) {
+      if (rng.Bernoulli(0.15)) c = rng.Pick("ACGT");
+    }
+    patterns.push_back(piece);
+  }
+  patterns.push_back(rng.RandomDna(50));
+  for (const std::string& pattern : patterns) {
+    auto served =
+        bql::RunBql(&db, "find sequences resembling " + pattern);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    std::set<std::string> warehoused;
+    for (const udb::Row& row : served->rows) {
+      warehoused.insert(row[0].AsString().value());
+    }
+    auto hits = mediator.SimilarTo(NucleotideSequence::Dna(pattern).value());
+    ASSERT_TRUE(hits.ok());
+    std::set<std::string> mediated;
+    for (const auto& hit : *hits) mediated.insert(hit.record.accession);
+    EXPECT_EQ(mediated, warehoused) << "pattern " << pattern;
+  }
 }
 
 }  // namespace
