@@ -1,8 +1,10 @@
 // Alignment-kernel ablation: times the full-traceback Smith–Waterman DP
 // against the linear-memory kernels — the rolling-row score kernel, the
 // statistics kernel (score, length and identity matches without a
-// traceback) and the early-terminating thresholded predicate — over a
-// length sweep, then the `resembles` predicate end to end, and writes
+// traceback; the dispatched instance and each instance this host runs:
+// the scalar reference and the AVX2 and AVX-512 anti-diagonal kernels)
+// and the early-terminating thresholded predicate — over a length
+// sweep, then the `resembles` predicate end to end, and writes
 // BENCH_align_kernels.json to the repo root, stamped with the host's core
 // count, the build type and $GENALG_COMMIT. Alongside wall-clock it
 // records the peak DP working set of each kernel (analytic, from the
@@ -70,15 +72,24 @@ Pair MakeRelatedPair(Rng* rng, size_t length) {
   return p;
 }
 
+// The statistics-kernel instances, in detail::StatsKernel order.
+constexpr align::detail::StatsKernel kStatsKernels[] = {
+    align::detail::StatsKernel::kScalar, align::detail::StatsKernel::kAvx2,
+    align::detail::StatsKernel::kAvx512};
+constexpr const char* kStatsKernelNames[] = {"scalar", "avx2", "avx512"};
+constexpr size_t kNumStatsKernels = 3;
+
 struct LengthResult {
   size_t length = 0;
   double full_dp_ms = 0;
   double score_only_ms = 0;
-  double stats_ms = 0;
+  double stats_ms = 0;  // LocalAlignStats, as dispatched.
+  double stats_instance_ms[kNumStatsKernels] = {};  // < 0: not on host.
   double reaches_miss_ms = 0;
   size_t full_dp_bytes = 0;
   size_t score_only_bytes = 0;
-  size_t stats_bytes = 0;
+  size_t stats_scalar_bytes = 0;
+  size_t stats_vector_bytes = 0;
 };
 
 bool SameStats(const align::LocalStats& stats, const align::Alignment& full) {
@@ -146,6 +157,31 @@ LengthResult RunLength(size_t length) {
       std::abort();
     }
   });
+  const align::ScoringProfile profile(scoring);
+  for (size_t k = 0; k < kNumStatsKernels; ++k) {
+    out.stats_instance_ms[k] = -1;
+    if (!align::detail::StatsKernelAvailable(kStatsKernels[k])) continue;
+    align::AlignScratch fresh;
+    if (!SameStats(align::detail::LocalStatsFill(kStatsKernels[k], profile,
+                                                 related.a, related.b, gaps,
+                                                 &fresh),
+                   full)) {
+      std::abort();
+    }
+    if (k > 0) {
+      out.stats_vector_bytes =
+          fresh.stats_diagonals.size() * sizeof(int32_t) +
+          fresh.codes_a.size() + fresh.codes_b.size();
+    }
+    out.stats_instance_ms[k] = TimeMs(repeats, [&] {
+      if (align::detail::LocalStatsFill(kStatsKernels[k], profile,
+                                        related.a, related.b, gaps,
+                                        &scratch)
+              .score != truth) {
+        std::abort();
+      }
+    });
+  }
   out.reaches_miss_ms = TimeMs(repeats, [&] {
     if (align::LocalScoreReaches(noise_a, noise_b, scoring, gaps,
                                  threshold, &scratch)
@@ -155,14 +191,15 @@ LengthResult RunLength(size_t length) {
   });
   // Peak DP working set, from the layouts. Full DP: three int64 layers
   // of (n+1)*(m+1) cells. Score-only: three int32 rows of min(n,m)+1
-  // cells plus the two uint8 code strings. Statistics: one row of
-  // |b|+1 StatsColumn entries (cells, path statistics and residue)
-  // plus the code strings.
+  // cells plus the two uint8 code strings. Scalar statistics: one row of
+  // |b|+1 StatsColumn entries (cells, path statistics and residue) plus
+  // the code strings. Vector statistics: the int32 arena a fill leaves
+  // in AlignScratch::stats_diagonals (measured above).
   const size_t cells = (length + 1) * (length + 1);
   const size_t code_bytes = 2 * length * sizeof(uint8_t);
   out.full_dp_bytes = 3 * cells * sizeof(int64_t);
   out.score_only_bytes = 3 * (length + 1) * sizeof(int32_t) + code_bytes;
-  out.stats_bytes =
+  out.stats_scalar_bytes =
       (length + 1) * sizeof(align::AlignScratch::StatsColumn) + code_bytes;
   return out;
 }
@@ -295,11 +332,12 @@ int main(int argc, char** argv) {
     results[i] = RunLength(kLengths[i]);
     std::printf(
         "len=%-5zu full=%.2fms score=%.2fms (%.1fx) stats=%.2fms "
-        "(%.1fx) reject=%.2fms\n",
+        "(%.1fx; scalar=%.2fms avx2=%.2fms avx512=%.2fms) reject=%.2fms\n",
         results[i].length, results[i].full_dp_ms, results[i].score_only_ms,
         results[i].full_dp_ms / results[i].score_only_ms,
         results[i].stats_ms, results[i].full_dp_ms / results[i].stats_ms,
-        results[i].reaches_miss_ms);
+        results[i].stats_instance_ms[0], results[i].stats_instance_ms[1],
+        results[i].stats_instance_ms[2], results[i].reaches_miss_ms);
   }
   std::vector<genalg::seq::NucleotideSequence> neighbours;
   std::vector<genalg::seq::NucleotideSequence> patterned;
@@ -329,12 +367,19 @@ int main(int argc, char** argv) {
 #define GENALG_BUILD_TYPE "unknown"
 #endif
   const char* commit = std::getenv("GENALG_COMMIT");
+  const char* dispatched = "scalar";
+  for (size_t k = 1; k < kNumStatsKernels; ++k) {
+    if (genalg::align::detail::StatsKernelAvailable(kStatsKernels[k])) {
+      dispatched = kStatsKernelNames[k];
+    }
+  }
   std::fprintf(out, "{\n  \"benchmark\": \"align_kernels\",\n");
   std::fprintf(out,
                "  \"host\": {\"hardware_concurrency\": %u, "
-               "\"build_type\": \"%s\", \"commit\": \"%s\"},\n",
+               "\"build_type\": \"%s\", \"commit\": \"%s\", "
+               "\"stats_kernel\": \"%s\"},\n",
                std::thread::hardware_concurrency(), GENALG_BUILD_TYPE,
-               commit != nullptr ? commit : "unknown");
+               commit != nullptr ? commit : "unknown", dispatched);
   std::fprintf(out,
                "  \"setup\": {\"pair\": \"8%% mutated copy, shifted\", "
                "\"gap_open\": -5, \"gap_extend\": -1, "
@@ -342,18 +387,32 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"lengths\": [\n");
   for (size_t i = 0; i < kNumLengths; ++i) {
     const LengthResult& r = results[i];
+    std::string instances;
+    for (size_t k = 0; k < kNumStatsKernels; ++k) {
+      char field[64];
+      if (r.stats_instance_ms[k] < 0) {
+        std::snprintf(field, sizeof(field), "\"stats_%s_ms\": null, ",
+                      kStatsKernelNames[k]);
+      } else {
+        std::snprintf(field, sizeof(field), "\"stats_%s_ms\": %.3f, ",
+                      kStatsKernelNames[k], r.stats_instance_ms[k]);
+      }
+      instances += field;
+    }
     std::fprintf(
         out,
         "    {\"length\": %zu, \"full_dp_ms\": %.3f, "
         "\"score_only_ms\": %.3f, \"score_only_speedup\": %.2f, "
-        "\"stats_ms\": %.3f, \"stats_speedup\": %.2f, "
+        "\"stats_ms\": %.3f, \"stats_speedup\": %.2f, %s"
         "\"early_exit_reject_ms\": %.3f, "
         "\"full_dp_peak_bytes\": %zu, \"score_only_peak_bytes\": %zu, "
-        "\"stats_peak_bytes\": %zu}%s\n",
+        "\"stats_scalar_peak_bytes\": %zu, "
+        "\"stats_vector_peak_bytes\": %zu}%s\n",
         r.length, r.full_dp_ms, r.score_only_ms,
         r.full_dp_ms / r.score_only_ms, r.stats_ms,
-        r.full_dp_ms / r.stats_ms, r.reaches_miss_ms, r.full_dp_bytes,
-        r.score_only_bytes, r.stats_bytes, i + 1 < kNumLengths ? "," : "");
+        r.full_dp_ms / r.stats_ms, instances.c_str(), r.reaches_miss_ms,
+        r.full_dp_bytes, r.score_only_bytes, r.stats_scalar_bytes,
+        r.stats_vector_bytes, i + 1 < kNumLengths ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"resembles_predicate\": [\n");

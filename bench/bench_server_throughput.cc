@@ -213,7 +213,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+#ifndef GENALG_BUILD_TYPE
+#define GENALG_BUILD_TYPE "unknown"
+#endif
+  const char* commit = std::getenv("GENALG_COMMIT");
   std::fprintf(out, "{\n  \"benchmark\": \"server_throughput\",\n");
+  std::fprintf(out,
+               "  \"host\": {\"hardware_concurrency\": %u, "
+               "\"build_type\": \"%s\", \"commit\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), GENALG_BUILD_TYPE,
+               commit != nullptr ? commit : "unknown");
   std::fprintf(out,
                "  \"setup\": {\"corpus\": %zu, \"sequence_length\": %zu, "
                "\"window_seconds\": %.2f, \"worker_threads\": %zu, "

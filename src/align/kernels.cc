@@ -7,6 +7,16 @@
 #include "align/aligner.h"
 #include "obs/metrics.h"
 
+// The vector statistics kernel is compiled per instruction set through
+// `#pragma GCC target` regions, which x86-64 GCC supports; other builds
+// run the scalar kernel only.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define GENALG_VECTOR_STATS 1
+#include <immintrin.h>
+#else
+#define GENALG_VECTOR_STATS 0
+#endif
+
 namespace genalg::align {
 
 namespace {
@@ -17,6 +27,7 @@ struct KernelMetrics {
   obs::Counter* cells;
   obs::Counter* early_exits;
   obs::Counter* full_dp_fallbacks;
+  obs::Counter* stats_vector_fills;
 };
 
 const KernelMetrics& Metrics() {
@@ -24,6 +35,7 @@ const KernelMetrics& Metrics() {
       obs::Registry::Global().GetCounter("align.kernel.cells"),
       obs::Registry::Global().GetCounter("align.kernel.early_exits"),
       obs::Registry::Global().GetCounter("align.kernel.full_dp_fallbacks"),
+      obs::Registry::Global().GetCounter("align.kernel.stats_vector_fills"),
   };
   return m;
 }
@@ -235,6 +247,244 @@ LocalStats LocalStatsCore(const ScoringProfile& profile, std::string_view a,
   return out;
 }
 
+// ---------------------------------------------------------------------
+// The anti-diagonal statistics kernel.
+//
+// LocalStatsCore's recurrence, swept one anti-diagonal d = i + j at a
+// time with one lane per column j of `b`. Every cell of a diagonal reads
+// only the two diagonals before it — the cell above (i-1, j) and the one
+// to the left (i, j-1) lie on d-1 at columns j and j-1, the diagonal
+// cell (i-1, j-1) on d-2 at column j-1 — so each lane runs exactly the
+// scalar recurrence and its tie rules, with plain unaligned loads and no
+// lane shuffles. The path statistics are packed as columns << 16 |
+// matches in 32-bit lanes, which holds while |a| + |b| <= 65535.
+//
+// The end cell is exact without a row-major scan: each column keeps its
+// largest M with the smallest row (a strict > over ascending rows), and
+// FinishDiagonals reduces the columns by (score desc, row asc, column
+// asc), which is the first strictly greater M in row-major order.
+
+#if GENALG_VECTOR_STATS
+
+// Lanes per block; both instances sweep 16-lane blocks (one AVX-512
+// register, or two AVX2 registers).
+constexpr int32_t kBlock = 16;
+constexpr int32_t kStatsColumnShift = 16;
+
+// One diagonal's cells, indexed by column j; entry 0 is column 0, the
+// local boundary (M = max = 0, X = Y = -inf, no path), never written.
+struct Diagonal {
+  int32_t* m;
+  int32_t* x;
+  int32_t* y;
+  int32_t* best;   // max(M, X, Y).
+  int32_t* stat_m;
+  int32_t* stat_x;
+  int32_t* stat_y;
+  int32_t* stat_best;
+};
+
+// The sweep's inputs and working set, carved out of
+// AlignScratch::stats_diagonals by PrepareDiagonals. Lane j reads row
+// d - j of `a` at index kBlock + rows - d + j of the reversed, padded
+// copies, so one diagonal's rows are one contiguous load.
+struct DiagonalSweep {
+  int32_t rows = 0;  // |a|.
+  int32_t cols = 0;  // |b|.
+  int32_t oe = 0;    // open + extend.
+  int32_t ext = 0;
+  const int32_t* table = nullptr;  // The profile's classes x classes table.
+  Diagonal diagonal[3];            // Diagonal d lives in diagonal[d % 3].
+  const int32_t* a_class = nullptr;  // Class * width: a row of `table`.
+  const int32_t* a_char = nullptr;   // Residue; -1 for '-', an unmatchable.
+  const int32_t* b_class = nullptr;  // Lane j: class of b[j-1].
+  const int32_t* b_char = nullptr;   // Lane j: b[j-1]; -2 past the end.
+  int32_t* best_m = nullptr;     // Lane j: the largest M of column j,
+  int32_t* best_diag = nullptr;  // the diagonal of its smallest-row cell,
+  int32_t* best_stat = nullptr;  // and that cell's path statistics.
+};
+
+DiagonalSweep PrepareDiagonals(const ScoringProfile& profile,
+                               std::string_view a, std::string_view b,
+                               const GapPenalties& gaps,
+                               AlignScratch* scratch) {
+  DiagonalSweep s;
+  s.rows = static_cast<int32_t>(a.size());
+  s.cols = static_cast<int32_t>(b.size());
+  s.oe = gaps.open + gaps.extend;
+  s.ext = gaps.extend;
+  s.table = profile.Row(0);
+  const size_t lanes = (b.size() + kBlock - 1) / kBlock * kBlock;
+  const size_t stride = lanes + 1;
+  const size_t padded_a = a.size() + 2 * kBlock;
+  // Eight arrays per diagonal, three column bests, two `b` lane inputs.
+  constexpr size_t kLaneArrays = 3 * 8 + 3 + 2;
+  std::vector<int32_t>& store = scratch->stats_diagonals;
+  store.resize(kLaneArrays * stride + 2 * padded_a);
+  int32_t* next = store.data();
+  auto carve = [&](size_t size, int32_t fill) {
+    int32_t* out = next;
+    std::fill(out, out + size, fill);
+    next += size;
+    return out;
+  };
+  for (Diagonal& d : s.diagonal) {
+    d = {carve(stride, 0),         carve(stride, kNegInf32),
+         carve(stride, kNegInf32), carve(stride, 0),
+         carve(stride, 0),         carve(stride, 0),
+         carve(stride, 0),         carve(stride, 0)};
+  }
+  s.best_m = carve(stride, 0);
+  s.best_diag = carve(stride, 0);
+  s.best_stat = carve(stride, 0);
+  int32_t* b_class = carve(stride, 0);
+  int32_t* b_char = carve(stride, -2);
+  for (size_t j = 1; j <= b.size(); ++j) {
+    b_class[j] = profile.Code(b[j - 1]);
+    b_char[j] = static_cast<unsigned char>(b[j - 1]);
+  }
+  int32_t* a_class = carve(padded_a, 0);
+  int32_t* a_char = carve(padded_a, -1);
+  // Alignment::Identity cannot tell a '-' residue from a gap, so a '-'
+  // in `a` matches nothing.
+  for (size_t p = 0; p < a.size(); ++p) {
+    const char residue = a[a.size() - 1 - p];
+    a_class[kBlock + p] = profile.Code(residue) * profile.width();
+    a_char[kBlock + p] =
+        residue == '-' ? -1 : static_cast<unsigned char>(residue);
+  }
+  s.a_class = a_class;
+  s.a_char = a_char;
+  s.b_class = b_class;
+  s.b_char = b_char;
+  return s;
+}
+
+LocalStats FinishDiagonals(const DiagonalSweep& s) {
+  int32_t best = 0;
+  int32_t best_row = 0;
+  uint32_t best_stat = 0;
+  for (int32_t j = 1; j <= s.cols; ++j) {
+    const int32_t score = s.best_m[j];
+    const int32_t row = s.best_diag[j] - j;
+    if (score > best || (score == best && score > 0 && row < best_row)) {
+      best = score;
+      best_row = row;
+      best_stat = static_cast<uint32_t>(s.best_stat[j]);
+    }
+  }
+  LocalStats out;
+  out.score = best;
+  out.columns = best_stat >> kStatsColumnShift;
+  out.matches = best_stat & ((uint32_t{1} << kStatsColumnShift) - 1);
+  return out;
+}
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+
+// A 16-lane block as two 8-lane registers; a mask is all-ones lanes.
+struct V {
+  __m256i lo, hi;
+};
+using Mask = V;
+
+inline V Load(const int32_t* p) {
+  return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8))};
+}
+inline void Store(int32_t* p, V v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v.lo);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 8), v.hi);
+}
+inline V Set1(int32_t x) {
+  return {_mm256_set1_epi32(x), _mm256_set1_epi32(x)};
+}
+inline V Iota() {
+  return {_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+          _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)};
+}
+inline V Add(V a, V b) {
+  return {_mm256_add_epi32(a.lo, b.lo), _mm256_add_epi32(a.hi, b.hi)};
+}
+inline V Max(V a, V b) {
+  return {_mm256_max_epi32(a.lo, b.lo), _mm256_max_epi32(a.hi, b.hi)};
+}
+inline Mask Gt(V a, V b) {
+  return {_mm256_cmpgt_epi32(a.lo, b.lo), _mm256_cmpgt_epi32(a.hi, b.hi)};
+}
+inline Mask Eq(V a, V b) {
+  return {_mm256_cmpeq_epi32(a.lo, b.lo), _mm256_cmpeq_epi32(a.hi, b.hi)};
+}
+inline Mask And(Mask a, Mask b) {
+  return {_mm256_and_si256(a.lo, b.lo), _mm256_and_si256(a.hi, b.hi)};
+}
+inline V Select(Mask take, V if_true, V if_false) {
+  return {_mm256_blendv_epi8(if_false.lo, if_true.lo, take.lo),
+          _mm256_blendv_epi8(if_false.hi, if_true.hi, take.hi)};
+}
+inline V Gather(const int32_t* base, V index) {
+  const __m256i none = _mm256_setzero_si256();
+  const __m256i all = _mm256_set1_epi32(-1);
+  return {_mm256_mask_i32gather_epi32(none, base, index.lo, all, 4),
+          _mm256_mask_i32gather_epi32(none, base, index.hi, all, 4)};
+}
+
+#include "align/stats_diagonal_sweep.inc"
+
+}  // namespace avx2
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512bw,avx512vl")
+namespace avx512 {
+
+using V = __m512i;
+using Mask = __mmask16;
+
+inline V Load(const int32_t* p) { return _mm512_loadu_si512(p); }
+inline void Store(int32_t* p, V v) { _mm512_storeu_si512(p, v); }
+inline V Set1(int32_t x) { return _mm512_set1_epi32(x); }
+inline V Iota() {
+  return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                           14, 15);
+}
+inline V Add(V a, V b) { return _mm512_add_epi32(a, b); }
+// The masked form: GCC 12's _mm512_max_epi32 trips -Wmaybe-uninitialized.
+inline V Max(V a, V b) { return _mm512_maskz_max_epi32(0xffff, a, b); }
+inline Mask Gt(V a, V b) { return _mm512_cmpgt_epi32_mask(a, b); }
+inline Mask Eq(V a, V b) { return _mm512_cmpeq_epi32_mask(a, b); }
+inline Mask And(Mask a, Mask b) { return _kand_mask16(a, b); }
+inline V Select(Mask take, V if_true, V if_false) {
+  return _mm512_mask_blend_epi32(take, if_false, if_true);
+}
+inline V Gather(const int32_t* base, V index) {
+  return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), 0xffff, index,
+                                     base, 4);
+}
+
+#include "align/stats_diagonal_sweep.inc"
+
+}  // namespace avx512
+#pragma GCC pop_options
+
+#endif  // GENALG_VECTOR_STATS
+
+// The fastest statistics kernel this host runs, picked once.
+detail::StatsKernel FastestStatsKernel() {
+  static const detail::StatsKernel kernel = [] {
+    if (detail::StatsKernelAvailable(detail::StatsKernel::kAvx512)) {
+      return detail::StatsKernel::kAvx512;
+    }
+    if (detail::StatsKernelAvailable(detail::StatsKernel::kAvx2)) {
+      return detail::StatsKernel::kAvx2;
+    }
+    return detail::StatsKernel::kScalar;
+  }();
+  return kernel;
+}
+
 // The flat profile of `scoring`: the shared one for the default nucleotide
 // matrix (the `resembles` hot path), else one built into `*built`.
 const ScoringProfile& ProfileFor(const SubstitutionMatrix& scoring,
@@ -352,11 +602,57 @@ Result<LocalStats> LocalAlignStats(std::string_view a, std::string_view b,
     GENALG_ASSIGN_OR_RETURN(Alignment full, LocalAlign(a, b, scoring, gaps));
     return LocalStats{full.score, full.Length(), full.Matches()};
   }
+  const detail::StatsKernel kernel =
+      a.size() + b.size() <= detail::kMaxVectorStatsLength
+          ? FastestStatsKernel()
+          : detail::StatsKernel::kScalar;
+  return detail::LocalStatsFill(kernel, profile, a, b, gaps, scratch);
+}
+
+namespace detail {
+
+bool StatsKernelAvailable(StatsKernel kernel) {
+  switch (kernel) {
+    case StatsKernel::kScalar:
+      return true;
+#if GENALG_VECTOR_STATS
+    case StatsKernel::kAvx2:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2");
+    case StatsKernel::kAvx512:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx512vl");
+#endif
+    default:
+      return false;
+  }
+}
+
+LocalStats LocalStatsFill(StatsKernel kernel, const ScoringProfile& profile,
+                          std::string_view a, std::string_view b,
+                          const GapPenalties& gaps, AlignScratch* scratch) {
+#if GENALG_VECTOR_STATS
+  if (kernel != StatsKernel::kScalar) {
+    const DiagonalSweep sweep = PrepareDiagonals(profile, a, b, gaps, scratch);
+    if (kernel == StatsKernel::kAvx512) {
+      avx512::Sweep(sweep);
+    } else {
+      avx2::Sweep(sweep);
+    }
+    Metrics().cells->Add(a.size() * b.size());
+    Metrics().stats_vector_fills->Increment();
+    return FinishDiagonals(sweep);
+  }
+#endif
   profile.Encode(a, &scratch->codes_a);
   profile.Encode(b, &scratch->codes_b);
   return LocalStatsCore(profile, a, b, scratch->codes_a, scratch->codes_b,
                         gaps, scratch);
 }
+
+}  // namespace detail
 
 int64_t ResemblesScoreFloor(const ScoringProfile& profile,
                             const GapPenalties& gaps, double min_identity,

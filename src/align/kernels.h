@@ -41,6 +41,11 @@ struct AlignScratch {
     uint64_t stat_m, stat_x, stat_best;
   };
   std::vector<StatsColumn> stats_row;
+  // The anti-diagonal statistics kernel's working set, one lane per
+  // column of `b`: three rotating diagonals of M, X, Y, max(M, X, Y) and
+  // the packed statistics of their paths, each column's running best M,
+  // and the lane-ordered inputs (`a` reversed and padded, `b` in lanes).
+  std::vector<int32_t> stats_diagonals;
   // Class-coded copies of the two inputs (the scoring profile operands).
   std::vector<uint8_t> codes_a, codes_b;
   // Full-DP int64 arena borrowed by the traceback aligners.
@@ -128,11 +133,42 @@ struct LocalStats {
 /// tie; a path stops at an M cell of 0; and the end cell is the first
 /// strictly greater M in row-major order. Identity compares characters,
 /// not scores (N against A scores as a match but is no identity).
-/// `scratch` may be nullptr (a call-local scratch is used).
+/// The fill runs on the widest instance the host supports (see
+/// detail::StatsKernel): the anti-diagonal vector kernel where AVX2 or
+/// AVX-512 is present and |a| + |b| <= detail::kMaxVectorStatsLength,
+/// else the scalar kernel. `scratch` may be nullptr (a call-local
+/// scratch is used).
 Result<LocalStats> LocalAlignStats(std::string_view a, std::string_view b,
                                    const SubstitutionMatrix& scoring,
                                    const GapPenalties& gaps = GapPenalties(),
                                    AlignScratch* scratch = nullptr);
+
+namespace detail {
+
+/// The instances of the statistics fill behind LocalAlignStats: the
+/// scalar rolling-row kernel (the reference), and one anti-diagonal
+/// vector kernel compiled for AVX2 and for AVX-512 (x86-64 GCC builds
+/// only). All return the same LocalStats, bit for bit.
+enum class StatsKernel { kScalar, kAvx2, kAvx512 };
+
+/// Whether this build and host can run `kernel` (kScalar always).
+bool StatsKernelAvailable(StatsKernel kernel);
+
+/// Longest |a| + |b| the vector instances take: their path statistics
+/// are packed as columns << 16 | matches in 32-bit lanes, and no path
+/// has more columns than |a| + |b|.
+inline constexpr size_t kMaxVectorStatsLength = 65535;
+
+/// One statistics fill of LocalAlignStats(a, b) on `kernel`, which
+/// LocalAlignStats calls after its argument checks and its int32 overflow
+/// guard. Requires non-empty inputs whose cells fit int32 under
+/// `profile` and `gaps`; a vector `kernel` must be available and take
+/// |a| + |b| <= kMaxVectorStatsLength.
+LocalStats LocalStatsFill(StatsKernel kernel, const ScoringProfile& profile,
+                          std::string_view a, std::string_view b,
+                          const GapPenalties& gaps, AlignScratch* scratch);
+
+}  // namespace detail
 
 /// Smallest local-alignment score any alignment satisfying the
 /// `resembles` predicate (identity >= min_identity over >= min_overlap

@@ -237,7 +237,16 @@ void GenAlgServer::SessionLoop(std::shared_ptr<Session> session) {
 void GenAlgServer::AdmitQuery(const std::shared_ptr<Session>& session,
                               net::QueryMsg query) {
   Metrics().queries->Increment();
-  if (draining_.load(std::memory_order_acquire)) {
+  // Testing draining_ and counting the query under one lock, which
+  // Shutdown also takes to set draining_, means a query is either counted
+  // before WaitForDrain looks or refused.
+  bool refused;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    refused = draining_.load(std::memory_order_relaxed);
+    if (!refused) ++inflight_;
+  }
+  if (refused) {
     Metrics().queries_refused_draining->Increment();
     SendError(session, query.query_id, net::ErrorCode::kShuttingDown,
               "server is draining");
@@ -248,10 +257,6 @@ void GenAlgServer::AdmitQuery(const std::shared_ptr<Session>& session,
                              ? options_.default_deadline_ms
                              : query.deadline_ms;
   auto deadline = admitted_at + std::chrono::milliseconds(deadline_ms);
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    ++inflight_;
-  }
   uint64_t query_id = query.query_id;
   bool accepted = pool_->TrySubmit(
       [this, session, query = std::move(query), admitted_at, deadline] {
@@ -381,8 +386,7 @@ size_t GenAlgServer::active_sessions() const {
 }
 
 size_t GenAlgServer::inflight_queries() const {
-  std::lock_guard<std::mutex> lock(
-      const_cast<std::mutex&>(inflight_mutex_));
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
   return inflight_;
 }
 
@@ -395,7 +399,10 @@ void GenAlgServer::Shutdown() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
 
   // 1. Stop admitting; in-flight queries keep running.
-  draining_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    draining_.store(true, std::memory_order_release);
+  }
 
   // 2. Drain: every admitted query finishes and its pages ship.
   WaitForDrain();

@@ -123,7 +123,7 @@ class GenAlgServer {
   std::map<uint64_t, std::shared_ptr<Session>> sessions_;
   uint64_t next_session_id_ = 1;
 
-  std::mutex inflight_mutex_;
+  mutable std::mutex inflight_mutex_;
   std::condition_variable drained_;
   size_t inflight_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -33,6 +34,21 @@ constexpr std::string_view kProtein = "ARNDCQEGHILKMFPSTWYVBZX*jq";
 
 const GapPenalties kGapGrid[] = {
     {-5, -1}, {-2, -2}, {-10, -1}, {0, 0}, {-1, 0}, {-7, -3}};
+
+// A copy of `s` with point substitutions and short indels drawn from
+// `alphabet`.
+std::string Mutate(Rng* rng, const std::string& s,
+                   std::string_view alphabet) {
+  std::string out;
+  for (char ch : s) {
+    if (rng->Bernoulli(0.03)) {
+      out += rng->RandomString(1 + rng->Uniform(3), alphabet);
+    }
+    if (rng->Bernoulli(0.03)) continue;
+    out.push_back(rng->Bernoulli(0.1) ? rng->Pick(alphabet) : ch);
+  }
+  return out.empty() ? std::string(1, rng->Pick(alphabet)) : out;
+}
 
 // ------------------------------------------------- Score-only == full DP.
 
@@ -229,21 +245,11 @@ std::vector<std::pair<NucleotideSequence, NucleotideSequence>> SweepPairs(
     out.emplace_back(sa, sb);
     out.emplace_back(sb, sa);
   };
-  auto mutate = [&](const std::string& s, std::string_view alphabet) {
-    std::string m;
-    for (char ch : s) {
-      if (rng.Bernoulli(0.03)) m += rng.RandomString(1 + rng.Uniform(3),
-                                                     alphabet);
-      if (rng.Bernoulli(0.03)) continue;
-      m.push_back(rng.Bernoulli(0.1) ? rng.Pick(alphabet) : ch);
-    }
-    return m.empty() ? std::string(1, rng.Pick(alphabet)) : m;
-  };
   for (int trial = 0; trial < per_kind; ++trial) {
     add(rng.RandomDna(1 + rng.Uniform(200)),
         rng.RandomDna(1 + rng.Uniform(200)));
     const std::string base = rng.RandomDna(1 + rng.Uniform(200));
-    add(base, mutate(base, kDna));
+    add(base, Mutate(&rng, base, kDna));
     const std::string_view pair_alphabet = trial % 2 == 0 ? "AT" : "GC";
     std::string tied = rng.RandomString(1 + rng.Uniform(200), pair_alphabet);
     for (size_t n = rng.Uniform(3); n > 0; --n) {
@@ -251,7 +257,7 @@ std::vector<std::pair<NucleotideSequence, NucleotideSequence>> SweepPairs(
       tied.replace(at, std::min<size_t>(1 + rng.Uniform(8), tied.size() - at),
                    std::string(1 + rng.Uniform(8), 'N'));
     }
-    add(tied, mutate(tied, trial % 3 == 0 ? "ATN" : pair_alphabet));
+    add(tied, Mutate(&rng, tied, trial % 3 == 0 ? "ATN" : pair_alphabet));
   }
   return out;
 }
@@ -315,6 +321,183 @@ TEST(KernelTest, ResemblesDecidesWithoutTraceback) {
   EXPECT_EQ(delta.counter("align.resembles.confirm_dps"), 0u);
   EXPECT_EQ(delta.counter("align.kernel.full_dp_fallbacks"), 0u);
   EXPECT_GE(delta.counter("align.kernel.cells"), 300u * 50u);
+}
+
+// ------------------------------- Every statistics-kernel instance == DP.
+
+// Runs each instance of the statistics fill that LocalAlignStats
+// dispatches between; an instance this host cannot run is skipped.
+class StatsKernelTest : public ::testing::TestWithParam<detail::StatsKernel> {
+ protected:
+  void SetUp() override {
+    if (!detail::StatsKernelAvailable(GetParam())) {
+      GTEST_SKIP() << "instance not available on this host";
+    }
+  }
+
+  // One fill on the instance under test, against the traced alignment.
+  void ExpectFillMatchesFullDp(std::string_view a, std::string_view b,
+                               const SubstitutionMatrix& scoring,
+                               const GapPenalties& gaps) {
+    auto full = LocalAlign(a, b, scoring, gaps);
+    ASSERT_TRUE(full.ok());
+    const ScoringProfile profile(scoring);
+    const LocalStats stats =
+        detail::LocalStatsFill(GetParam(), profile, a, b, gaps, &scratch_);
+    const std::string where =
+        (a.size() + b.size() <= 140
+             ? "a=" + std::string(a) + " b=" + std::string(b)
+             : "|a|=" + std::to_string(a.size()) +
+                   " |b|=" + std::to_string(b.size())) +
+        " open=" + std::to_string(gaps.open) +
+        " extend=" + std::to_string(gaps.extend);
+    EXPECT_EQ(stats.score, full->score) << where;
+    EXPECT_EQ(stats.columns, full->Length()) << where;
+    EXPECT_EQ(stats.matches, full->Matches()) << where;
+  }
+
+  AlignScratch scratch_;
+};
+
+TEST_P(StatsKernelTest, MatchesFullDpPropertySweep) {
+  Rng rng(77);
+  struct Case {
+    std::string_view alphabet;
+    const SubstitutionMatrix& scoring;
+  };
+  // Two-letter alphabets and a 1/-3 scheme make equal-scoring paths
+  // common, so the traceback's tie rules decide length and identity;
+  // kIupac brings N runs and '-' residues.
+  const Case cases[] = {
+      {kDna, SubstitutionMatrix::Nucleotide()},
+      {"AT", SubstitutionMatrix::Nucleotide()},
+      {"GN", SubstitutionMatrix::Nucleotide()},
+      {kIupac, SubstitutionMatrix::Nucleotide(1, -3)},
+      {kProtein, SubstitutionMatrix::Blosum62()},
+  };
+  for (const Case& c : cases) {
+    for (const GapPenalties& gaps : kGapGrid) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const std::string a =
+            rng.RandomString(1 + rng.Uniform(200), c.alphabet);
+        const std::string b = trial % 2 == 0
+                                  ? Mutate(&rng, a, c.alphabet)
+                                  : rng.RandomString(1 + rng.Uniform(200),
+                                                     c.alphabet);
+        ExpectFillMatchesFullDp(a, b, c.scoring, gaps);
+        ExpectFillMatchesFullDp(b, a, c.scoring, gaps);
+      }
+    }
+  }
+}
+
+TEST_P(StatsKernelTest, EveryWidthAcrossBlockEdges) {
+  // Every |b| from 1 to 70 covers the 16- and 32-lane block edges; |a|
+  // runs from far shorter to far longer than |b|, so the diagonal band
+  // starts, slides through and leaves the lanes in every phase.
+  Rng rng(19);
+  const auto& nuc = SubstitutionMatrix::Nucleotide();
+  for (size_t width = 1; width <= 70; ++width) {
+    const GapPenalties& gaps = kGapGrid[width % std::size(kGapGrid)];
+    const std::string b = rng.RandomString(width, width % 3 ? kDna : "AT");
+    for (size_t rows : {size_t{1}, size_t{2}, width / 3 + 1, width,
+                        width + 17, 4 * width + 9}) {
+      std::string a = rng.RandomString(rows, kIupac);
+      if (rows >= width) {
+        // Plant a mutated copy of `b` so the best path is long.
+        const std::string copy = Mutate(&rng, b, kDna);
+        a.replace(rng.Uniform(rows - std::min(rows, copy.size()) + 1),
+                  std::min(rows, copy.size()), copy.substr(0, rows));
+      }
+      ExpectFillMatchesFullDp(a, b, nuc, gaps);
+      ExpectFillMatchesFullDp(b, a, nuc, gaps);
+    }
+  }
+}
+
+TEST_P(StatsKernelTest, MatchesFullDpOnResemblesSweepPairs) {
+  for (const auto& [a, b] : SweepPairs(53, 20)) {
+    ExpectFillMatchesFullDp(a.ToString(), b.ToString(),
+                            SubstitutionMatrix::Nucleotide(), GapPenalties());
+  }
+}
+
+// A pair with |a| + |b| = `total` whose best local path runs through
+// nearly all of `a`: `b` (20 residues of C and G) split in two at the ends
+// of `a`, with a run of A, which matches nothing in `b`, between them.
+std::pair<std::string, std::string> LongPathPair(size_t total) {
+  Rng rng(61);
+  const std::string b = rng.RandomString(20, "CG");
+  return {b.substr(0, 10) + std::string(total - 40, 'A') + b.substr(10), b};
+}
+
+TEST_P(StatsKernelTest, PathAsLongAsThePackingLimit) {
+  // |a| + |b| = 65535, the most a vector lane packs, and a best path of
+  // 65515 columns, beyond any 15-bit field.
+  const auto [a, b] = LongPathPair(detail::kMaxVectorStatsLength);
+  for (const GapPenalties& gaps : {GapPenalties{0, 0}, GapPenalties{-1, 0}}) {
+    ASSERT_EQ(LocalAlign(a, b, SubstitutionMatrix::Nucleotide(), gaps)
+                  ->Length(),
+              a.size());
+    ExpectFillMatchesFullDp(a, b, SubstitutionMatrix::Nucleotide(), gaps);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Instances, StatsKernelTest,
+    ::testing::Values(detail::StatsKernel::kScalar,
+                      detail::StatsKernel::kAvx2,
+                      detail::StatsKernel::kAvx512),
+    [](const ::testing::TestParamInfo<detail::StatsKernel>& info) {
+      switch (info.param) {
+        case detail::StatsKernel::kAvx2:
+          return std::string("Avx2");
+        case detail::StatsKernel::kAvx512:
+          return std::string("Avx512");
+        default:
+          return std::string("Scalar");
+      }
+    });
+
+TEST(KernelTest, VectorFillsAreCountedAndCellsAreReal) {
+  if (!detail::StatsKernelAvailable(detail::StatsKernel::kAvx2)) {
+    GTEST_SKIP() << "no vector instance on this host";
+  }
+  Rng rng(67);
+  const std::string a = rng.RandomDna(300);
+  const std::string b = rng.RandomDna(50);
+  auto before = obs::Registry::Global().Snapshot();
+  ASSERT_TRUE(LocalAlignStats(a, b, SubstitutionMatrix::Nucleotide()).ok());
+  auto delta = obs::Registry::Global().Snapshot().Since(before);
+  EXPECT_EQ(delta.counter("align.kernel.stats_vector_fills"), 1u);
+  // Cells count |a| x |b|, not the padded lanes the sweep visits.
+  EXPECT_EQ(delta.counter("align.kernel.cells"), 300u * 50u);
+}
+
+TEST(KernelTest, DispatchHonoursThePackingLimit) {
+  // |a| + |b| = 65535 may take a vector instance; one more residue must
+  // take the scalar kernel, and both answer as the traced alignment does.
+  const auto& nuc = SubstitutionMatrix::Nucleotide();
+  const GapPenalties gaps{-1, 0};
+  for (size_t total : {detail::kMaxVectorStatsLength,
+                       detail::kMaxVectorStatsLength + 1}) {
+    const auto [a, b] = LongPathPair(total);
+    auto full = LocalAlign(a, b, nuc, gaps);
+    ASSERT_TRUE(full.ok());
+    auto before = obs::Registry::Global().Snapshot();
+    auto stats = LocalAlignStats(a, b, nuc, gaps);
+    auto delta = obs::Registry::Global().Snapshot().Since(before);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->score, full->score) << "|a|+|b|=" << total;
+    EXPECT_EQ(stats->columns, full->Length()) << "|a|+|b|=" << total;
+    EXPECT_EQ(stats->matches, full->Matches()) << "|a|+|b|=" << total;
+    const bool vector =
+        total <= detail::kMaxVectorStatsLength &&
+        detail::StatsKernelAvailable(detail::StatsKernel::kAvx2);
+    EXPECT_EQ(delta.counter("align.kernel.stats_vector_fills"),
+              vector ? 1u : 0u)
+        << "|a|+|b|=" << total;
+  }
 }
 
 // ---------------------------------------------------- Batch entry point.

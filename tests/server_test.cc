@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,11 +39,12 @@ std::string RowsToText(const udb::QueryResult& result) {
 }
 
 // A query whose execution is dominated by O(n*m) alignment across every
-// row — tens of milliseconds on this corpus, enough to make deadline,
-// overload, and drain behavior deterministic.
+// row — tens of milliseconds on this corpus (30 x 400 bp against 800 bp,
+// 9.6 M cells), enough to make deadline, overload, and drain behavior
+// deterministic.
 std::string SlowQuery() {
   std::string pattern;
-  for (int i = 0; i < 25; ++i) pattern += "ACGTTGCA";  // 200 bp.
+  for (int i = 0; i < 100; ++i) pattern += "ACGTTGCA";  // 800 bp.
   return "count sequences resembling " + pattern;
 }
 
@@ -319,14 +321,24 @@ TEST_F(ServerTest, ShutdownDrainsInFlightQueries) {
   auto client = Connect();
   ASSERT_TRUE(client.ok());
   std::atomic<bool> query_ok{false};
+  std::atomic<bool> query_done{false};
   std::thread querier([&] {
     auto result = (*client)->QueryAll(SlowQuery());
     query_ok.store(result.ok());
+    query_done.store(true);
   });
-  // Give the query a moment to be admitted, then drain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Drain once the query is admitted (bounded: it must be admitted, and
+  // still in flight, well within 10 s).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->inflight_queries() == 0 && !query_done.load() &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  const bool admitted = server_->inflight_queries() > 0;
   server_->Shutdown();
   querier.join();
+  ASSERT_TRUE(admitted) << "the query was never seen in flight";
   EXPECT_TRUE(query_ok.load()) << "in-flight query was not drained";
   // After shutdown the listener is gone.
   EXPECT_FALSE(Connect().ok());
