@@ -1,15 +1,14 @@
 // Alignment-kernel ablation: times the full-traceback Smith–Waterman DP
-// against the linear-memory kernels — the rolling-row score kernel, the
-// statistics kernel (score, length and identity matches without a
-// traceback; the dispatched instance and each instance this host runs:
-// the scalar reference and the AVX2 and AVX-512 anti-diagonal kernels)
-// and the early-terminating thresholded predicate — over a length
-// sweep, then the `resembles` predicate end to end, and writes
-// BENCH_align_kernels.json to the repo root, stamped with the host's core
-// count, the build type and $GENALG_COMMIT. Alongside wall-clock it
-// records the peak DP working set of each kernel (analytic, from the
-// layouts: three int64 matrices for the full DP against rolling rows for
-// the kernels), which is the O(n*m) → O(m) claim in numbers.
+// against the linear-memory statistics kernel (score, length and identity
+// matches without a traceback; the dispatched instance and each instance
+// this host runs: the scalar reference and the AVX2 and AVX-512
+// anti-diagonal kernels) over a length sweep, then the `resembles`
+// predicate end to end, and writes BENCH_align_kernels.json to the repo
+// root, stamped with the host's core count, the build type and
+// $GENALG_COMMIT. Alongside wall-clock it records the peak DP working set
+// of each route (three int64 matrices for the full DP against one row or
+// three anti-diagonals for the statistics kernel), which is the
+// O(n*m) → O(m) claim in numbers.
 //
 // Every timed kernel call is checked against the full DP first, so a run
 // that produced a wrong result aborts instead of reporting it.
@@ -82,12 +81,9 @@ constexpr size_t kNumStatsKernels = 3;
 struct LengthResult {
   size_t length = 0;
   double full_dp_ms = 0;
-  double score_only_ms = 0;
   double stats_ms = 0;  // LocalAlignStats, as dispatched.
   double stats_instance_ms[kNumStatsKernels] = {};  // < 0: not on host.
-  double reaches_miss_ms = 0;
   size_t full_dp_bytes = 0;
-  size_t score_only_bytes = 0;
   size_t stats_scalar_bytes = 0;
   size_t stats_vector_bytes = 0;
 };
@@ -100,8 +96,6 @@ bool SameStats(const align::LocalStats& stats, const align::Alignment& full) {
 LengthResult RunLength(size_t length) {
   Rng rng(4242 + length);
   const Pair related = MakeRelatedPair(&rng, length);
-  const std::string noise_a = rng.RandomDna(length);
-  const std::string noise_b = rng.RandomDna(length);
   const auto& scoring = align::SubstitutionMatrix::Nucleotide();
   const align::GapPenalties gaps;
 
@@ -109,27 +103,10 @@ LengthResult RunLength(size_t length) {
       align::LocalAlign(related.a, related.b, scoring, gaps).value();
   const int64_t truth = full.score;
   align::AlignScratch scratch;
-  if (align::LocalAlignScore(related.a, related.b, scoring, gaps,
-                             &scratch)
-          .value() != truth) {
-    std::abort();
-  }
   if (!SameStats(align::LocalAlignStats(related.a, related.b, scoring, gaps,
                                         &scratch)
                      .value(),
                  full)) {
-    std::abort();
-  }
-  // A threshold between the noise pair's best score (~0.2 per base) and
-  // the related pair's (~1.8 per base): the early-exit regime the
-  // `resembles` screen runs in, for both the accept and the reject exit.
-  const int64_t threshold = static_cast<int64_t>(length);
-  if (!align::LocalScoreReaches(related.a, related.b, scoring, gaps,
-                                threshold, &scratch)
-           .value() ||
-      align::LocalScoreReaches(noise_a, noise_b, scoring, gaps, threshold,
-                               &scratch)
-          .value()) {
     std::abort();
   }
 
@@ -139,13 +116,6 @@ LengthResult RunLength(size_t length) {
   out.full_dp_ms = TimeMs(repeats, [&] {
     if (align::LocalAlign(related.a, related.b, scoring, gaps)->score !=
         truth) {
-      std::abort();
-    }
-  });
-  out.score_only_ms = TimeMs(repeats, [&] {
-    if (align::LocalAlignScore(related.a, related.b, scoring, gaps,
-                               &scratch)
-            .value() != truth) {
       std::abort();
     }
   });
@@ -182,23 +152,14 @@ LengthResult RunLength(size_t length) {
       }
     });
   }
-  out.reaches_miss_ms = TimeMs(repeats, [&] {
-    if (align::LocalScoreReaches(noise_a, noise_b, scoring, gaps,
-                                 threshold, &scratch)
-            .value()) {
-      std::abort();
-    }
-  });
   // Peak DP working set, from the layouts. Full DP: three int64 layers
-  // of (n+1)*(m+1) cells. Score-only: three int32 rows of min(n,m)+1
-  // cells plus the two uint8 code strings. Scalar statistics: one row of
-  // |b|+1 StatsColumn entries (cells, path statistics and residue) plus
-  // the code strings. Vector statistics: the int32 arena a fill leaves
-  // in AlignScratch::stats_diagonals (measured above).
+  // of (n+1)*(m+1) cells. Scalar statistics: one row of |b|+1
+  // StatsColumn entries (cells, path statistics and residue) plus the
+  // two uint8 code strings. Vector statistics: the int32 arena a fill
+  // leaves in AlignScratch::stats_diagonals (measured above).
   const size_t cells = (length + 1) * (length + 1);
   const size_t code_bytes = 2 * length * sizeof(uint8_t);
   out.full_dp_bytes = 3 * cells * sizeof(int64_t);
-  out.score_only_bytes = 3 * (length + 1) * sizeof(int32_t) + code_bytes;
   out.stats_scalar_bytes =
       (length + 1) * sizeof(align::AlignScratch::StatsColumn) + code_bytes;
   return out;
@@ -206,20 +167,19 @@ LengthResult RunLength(size_t length) {
 
 // The end-to-end predicate: `resembles` over a batch of pairs, old route
 // (full traceback DP for every pair) against BatchResembles on one
-// thread. Three regimes: the permissive default (80% over >= 16 bases)
-// on 600 bp pairs, whose tiny score floor almost never refutes a pair, so
-// nearly every pair takes a statistics fill; the same default on the
-// shape BQL `resembling` runs, a 50 bp pattern against stored sequences
-// of 250-750 bp; and a stringent entity-matching config (90% over >= 200
-// bases), whose floor rejects unrelated pairs with the score kernel
-// alone.
+// thread, where every pair past the trivial rejects takes one statistics
+// fill. Three regimes: the permissive default (80% over >= 16 bases) on
+// 600 bp pairs; the same default on the shape BQL `resembling` runs, a
+// 50 bp pattern against stored sequences of 250-750 bp; and a stringent
+// entity-matching config (90% over >= 200 bases) on the 600 bp pairs,
+// where most pairs are unrelated and the verdict is a miss.
 struct PredicateResult {
   const char* name = "";
   double min_identity = 0;
   size_t min_overlap = 0;
   size_t pairs = 0;
   double full_dp_ms = 0;
-  double screened_ms = 0;
+  double batch_ms = 0;
 };
 
 using SeqPairs = std::vector<std::pair<const seq::NucleotideSequence*,
@@ -299,7 +259,7 @@ PredicateResult RunPredicate(const char* name, double min_identity,
     }
   });
   ThreadPool serial(1);
-  out.screened_ms = TimeMs(9, [&] {
+  out.batch_ms = TimeMs(9, [&] {
     auto got =
         align::BatchResembles(pairs, min_identity, min_overlap, &serial)
             .value();
@@ -331,13 +291,12 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < kNumLengths; ++i) {
     results[i] = RunLength(kLengths[i]);
     std::printf(
-        "len=%-5zu full=%.2fms score=%.2fms (%.1fx) stats=%.2fms "
-        "(%.1fx; scalar=%.2fms avx2=%.2fms avx512=%.2fms) reject=%.2fms\n",
-        results[i].length, results[i].full_dp_ms, results[i].score_only_ms,
-        results[i].full_dp_ms / results[i].score_only_ms,
-        results[i].stats_ms, results[i].full_dp_ms / results[i].stats_ms,
+        "len=%-5zu full=%.2fms stats=%.2fms "
+        "(%.1fx; scalar=%.2fms avx2=%.2fms avx512=%.2fms)\n",
+        results[i].length, results[i].full_dp_ms, results[i].stats_ms,
+        results[i].full_dp_ms / results[i].stats_ms,
         results[i].stats_instance_ms[0], results[i].stats_instance_ms[1],
-        results[i].stats_instance_ms[2], results[i].reaches_miss_ms);
+        results[i].stats_instance_ms[2]);
   }
   std::vector<genalg::seq::NucleotideSequence> neighbours;
   std::vector<genalg::seq::NucleotideSequence> patterned;
@@ -353,9 +312,9 @@ int main(int argc, char** argv) {
   for (const PredicateResult& p : predicates) {
     std::printf(
         "resembles[%s id>=%.2f len>=%zu] x%zu pairs: full=%.2fms "
-        "screened=%.2fms (%.1fx)\n",
+        "batch=%.2fms (%.1fx)\n",
         p.name, p.min_identity, p.min_overlap, p.pairs, p.full_dp_ms,
-        p.screened_ms, p.full_dp_ms / p.screened_ms);
+        p.batch_ms, p.full_dp_ms / p.batch_ms);
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -402,16 +361,12 @@ int main(int argc, char** argv) {
     std::fprintf(
         out,
         "    {\"length\": %zu, \"full_dp_ms\": %.3f, "
-        "\"score_only_ms\": %.3f, \"score_only_speedup\": %.2f, "
         "\"stats_ms\": %.3f, \"stats_speedup\": %.2f, %s"
-        "\"early_exit_reject_ms\": %.3f, "
-        "\"full_dp_peak_bytes\": %zu, \"score_only_peak_bytes\": %zu, "
+        "\"full_dp_peak_bytes\": %zu, "
         "\"stats_scalar_peak_bytes\": %zu, "
         "\"stats_vector_peak_bytes\": %zu}%s\n",
-        r.length, r.full_dp_ms, r.score_only_ms,
-        r.full_dp_ms / r.score_only_ms, r.stats_ms,
-        r.full_dp_ms / r.stats_ms, instances.c_str(), r.reaches_miss_ms,
-        r.full_dp_bytes, r.score_only_bytes, r.stats_scalar_bytes,
+        r.length, r.full_dp_ms, r.stats_ms, r.full_dp_ms / r.stats_ms,
+        instances.c_str(), r.full_dp_bytes, r.stats_scalar_bytes,
         r.stats_vector_bytes, i + 1 < kNumLengths ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -421,11 +376,10 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"config\": \"%s\", \"min_identity\": %.2f, "
                  "\"min_overlap\": %zu, \"pairs\": %zu, "
-                 "\"full_dp_ms\": %.3f, \"screened_ms\": %.3f, "
+                 "\"full_dp_ms\": %.3f, \"batch_ms\": %.3f, "
                  "\"speedup\": %.2f}%s\n",
                  r.name, r.min_identity, r.min_overlap, r.pairs,
-                 r.full_dp_ms, r.screened_ms,
-                 r.full_dp_ms / r.screened_ms,
+                 r.full_dp_ms, r.batch_ms, r.full_dp_ms / r.batch_ms,
                  p + 1 < kNumPredicates ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -85,8 +85,8 @@ std::vector<std::vector<formats::SequenceRecord>> MakeBatches(
   return batches;
 }
 
-// Half the pairs are ~90% identical (hit the banded screen), half are
-// unrelated (hit the score-only reject) — both kernel counting paths run.
+// Half the pairs are ~90% identical, half are unrelated, so the
+// `resembles` batch sees both hits and misses.
 std::vector<std::pair<seq::NucleotideSequence, seq::NucleotideSequence>>
 MakeAlignPairs(const Config& config) {
   Rng rng(733);

@@ -350,10 +350,8 @@ Status CheckIdentity(double min_identity) {
 // LocalAlign(a, b) and checking its length and identity:
 //   1. trivial rejects (empty inputs; shorter input cannot hold the
 //      identity matches the predicate demands);
-//   2. a score floor every qualifying alignment must reach, refuted by
-//      the early-terminating score kernel in O(min(n, m)) memory;
-//   3. pairs whose score clears the floor get one LocalAlignStats fill,
-//      which yields length and identity without a traceback.
+//   2. every other pair gets one LocalAlignStats fill, which yields the
+//      length and identity without a traceback.
 Result<ResemblesVerdict> Decide(const seq::NucleotideSequence& sa,
                                 const seq::NucleotideSequence& sb,
                                 double min_identity, size_t min_overlap) {
@@ -374,26 +372,13 @@ Result<ResemblesVerdict> Decide(const seq::NucleotideSequence& sa,
           min_identity * static_cast<double>(min_overlap) - 1e-6) {
     return out;
   }
-  const GapPenalties gaps;
-  const SubstitutionMatrix scoring = SubstitutionMatrix::Nucleotide();
-  const ScoringProfile& profile = ScoringProfile::NucleotideDefault();
-  profile.Encode(a, &scratch.codes_a);
-  profile.Encode(b, &scratch.codes_b);
-  const int64_t floor =
-      ResemblesScoreFloor(profile, gaps, min_identity, min_overlap,
-                          scratch.codes_a, scratch.codes_b);
-  if (floor == std::numeric_limits<int64_t>::max()) return out;
-  if (floor > 0) {
-    GENALG_ASSIGN_OR_RETURN(
-        bool reachable,
-        LocalScoreReaches(a, b, scoring, gaps, floor, &scratch));
-    if (!reachable) return out;  // Best score provably below the floor.
-  }
   static obs::Counter* stat_fills =
       obs::Registry::Global().GetCounter("align.resembles.stat_fills");
   stat_fills->Increment();
-  GENALG_ASSIGN_OR_RETURN(LocalStats best,
-                          LocalAlignStats(a, b, scoring, gaps, &scratch));
+  GENALG_ASSIGN_OR_RETURN(
+      LocalStats best,
+      LocalAlignStats(a, b, SubstitutionMatrix::Nucleotide(), GapPenalties(),
+                      &scratch));
   if (best.columns < min_overlap) return out;
   const double identity = best.Identity();
   if (identity < min_identity) return out;

@@ -92,10 +92,11 @@ Result<Alignment> LocalAlign(const seq::ProteinSequence& a,
 /// the thresholds. BQL evaluates resembles(stored, pattern), and the
 /// mediator passes (stored, query) likewise.
 ///
-/// A score floor derived from (min_identity, min_overlap) lets the
-/// early-terminating score kernel refute most negatives; the rest are
-/// decided by one LocalAlignStats fill. Both are bit-identical to
-/// evaluating the full alignment directly.
+/// Past the trivial rejects (an empty input, or a shorter input too short
+/// to hold the identity matches demanded), each pair is decided by one
+/// LocalAlignStats fill, bit-identical to evaluating the full alignment
+/// directly. Pass the stored (longer) sequence as `a`: the fill runs
+/// fastest with the shorter input on `b`.
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
                        double min_identity = 0.8, size_t min_overlap = 16);

@@ -21,11 +21,10 @@ namespace genalg::align {
 
 namespace {
 
-// Cell counts are accumulated per kernel invocation (rows completed x
-// width), not per cell, so the inner loops stay untouched.
+// Cell counts are accumulated per fill (|a| x |b|), not per cell, so the
+// inner loops stay untouched.
 struct KernelMetrics {
   obs::Counter* cells;
-  obs::Counter* early_exits;
   obs::Counter* full_dp_fallbacks;
   obs::Counter* stats_vector_fills;
 };
@@ -33,7 +32,6 @@ struct KernelMetrics {
 const KernelMetrics& Metrics() {
   static const KernelMetrics m = {
       obs::Registry::Global().GetCounter("align.kernel.cells"),
-      obs::Registry::Global().GetCounter("align.kernel.early_exits"),
       obs::Registry::Global().GetCounter("align.kernel.full_dp_fallbacks"),
       obs::Registry::Global().GetCounter("align.kernel.stats_vector_fills"),
   };
@@ -51,8 +49,8 @@ Status CheckGapPenalties(const GapPenalties& gaps) {
   return Status::OK();
 }
 
-// Largest absolute cell magnitude the inputs could produce. The rolling
-// kernels run on int32 cells; inputs long enough to overflow them fall
+// Largest absolute cell magnitude the inputs could produce. The
+// statistics kernels run on int32 cells; inputs long enough to overflow them fall
 // back to the int64 full DP (practically unreachable: the full DP would
 // need > 10^15 cells first).
 bool FitsInt32(size_t n, size_t m, const ScoringProfile& profile,
@@ -63,91 +61,6 @@ bool FitsInt32(size_t n, size_t m, const ScoringProfile& profile,
        -static_cast<int64_t>(gaps.open) - gaps.extend, int64_t{1}});
   int64_t steps = static_cast<int64_t>(n) + static_cast<int64_t>(m) + 2;
   return steps * per_step < std::numeric_limits<int32_t>::max() / 4;
-}
-
-// Rolling-row core of the score-only local kernels.
-//
-// Rows run over `ra` (outer), columns over `rb` (inner); callers order the
-// operands so the inner sequence is the shorter one. Cell layout per
-// column j of the previous row: row_m[j] = M, row_x[j] = X (gap in the
-// inner sequence), row_best[j] = max(M, X, Y). Y (gap in the outer
-// sequence) only ever feeds from the current row's left neighbour, so it
-// lives in a scalar. This reproduces LocalAlign's recurrence exactly:
-//   M[i][j] = max(0, max(M, X, Y)[i-1][j-1] + s)
-//   X[i][j] = max(M[i-1][j] + open + extend, X[i-1][j] + extend)
-//   Y[i][j] = max(M[i][j-1] + open + extend, Y[i][j-1] + extend)
-// with the local best tracked over M cells only, as in the full DP.
-//
-// With `threshold` non-null the fill may stop early: once the running
-// best reaches the threshold the answer is known true; once
-// max(row cells) plus the largest score the remaining rows could add
-// falls below it, the answer is known false. `*reached` receives the
-// verdict; the returned score is then only a lower bound of the true
-// best and callers must not use it.
-int32_t LocalScoreCore(const ScoringProfile& profile,
-                       const std::vector<uint8_t>& ra,
-                       const std::vector<uint8_t>& rb,
-                       const GapPenalties& gaps, AlignScratch* scratch,
-                       const int64_t* threshold, bool* reached) {
-  const size_t rows = ra.size();
-  const size_t cols = rb.size();
-  const int32_t oe = gaps.open + gaps.extend;
-  const int32_t ext = gaps.extend;
-  const int32_t pos_gain = std::max(profile.max_pair_score(), 0);
-  std::vector<int32_t>& rm = scratch->row_m;
-  std::vector<int32_t>& rx = scratch->row_x;
-  std::vector<int32_t>& rbest = scratch->row_best;
-  rm.assign(cols + 1, 0);
-  rx.assign(cols + 1, kNegInf32);
-  rbest.assign(cols + 1, 0);
-  int32_t best = 0;
-  for (size_t i = 1; i <= rows; ++i) {
-    const int32_t* score_row = profile.Row(ra[i - 1]);
-    int32_t m_left = 0;             // M[i][0] (local boundary).
-    int32_t y_left = kNegInf32;     // Y[i][0].
-    int32_t best_diag = rbest[0];   // max(M, X, Y)[i-1][j-1] carrier.
-    int32_t row_best = 0;
-    for (size_t j = 1; j <= cols; ++j) {
-      int32_t mv = best_diag + score_row[rb[j - 1]];
-      if (mv < 0) mv = 0;
-      int32_t xv = std::max(rm[j] + oe, rx[j] + ext);
-      int32_t yv = std::max(m_left + oe, y_left + ext);
-      int32_t bv = std::max(mv, std::max(xv, yv));
-      best_diag = rbest[j];
-      rm[j] = mv;
-      rx[j] = xv;
-      rbest[j] = bv;
-      m_left = mv;
-      y_left = yv;
-      if (mv > best) best = mv;
-      if (bv > row_best) row_best = bv;
-    }
-    if (threshold != nullptr) {
-      if (best >= *threshold) {
-        *reached = true;
-        Metrics().cells->Add(i * cols);
-        if (i < rows) Metrics().early_exits->Increment();
-        return best;
-      }
-      // Any alignment not already counted either crosses this row —
-      // scoring at most row_best so far — or starts below it; either way
-      // the remaining rows add at most one residue-consuming column each,
-      // each worth at most pos_gain (gap columns only subtract).
-      int64_t ceiling = static_cast<int64_t>(std::max(row_best, 0)) +
-                        static_cast<int64_t>(rows - i) * pos_gain;
-      if (ceiling < *threshold) {
-        *reached = false;
-        Metrics().cells->Add(i * cols);
-        if (i < rows) Metrics().early_exits->Increment();
-        return best;
-      }
-    }
-  }
-  Metrics().cells->Add(rows * cols);
-  if (reached != nullptr) {
-    *reached = threshold != nullptr && best >= *threshold;
-  }
-  return best;
 }
 
 // Path statistics packed as columns << 32 | identity matches, so one add
@@ -161,9 +74,17 @@ inline uint64_t Pick(bool take, uint64_t if_true, uint64_t if_false) {
   return if_false ^ ((if_true ^ if_false) & mask);
 }
 
-// LocalScoreCore's recurrence, with `a` on the rows as in LocalAlign, and
-// beside every M, X and Y cell the packed statistics of the path
-// LocalAlign's TraceBack follows from that cell in that layer:
+// Rolling-row Smith–Waterman with affine gaps, `a` on the rows as in
+// LocalAlign. Per column j of the previous row the kernel keeps M, X (gap
+// in `b`) and max(M, X, Y); Y (gap in `a`) only ever feeds from the
+// current row's left neighbour, so it lives in a scalar. This is
+// LocalAlign's recurrence exactly:
+//   M[i][j] = max(0, max(M, X, Y)[i-1][j-1] + s)
+//   X[i][j] = max(M[i-1][j] + open + extend, X[i-1][j] + extend)
+//   Y[i][j] = max(M[i][j-1] + open + extend, Y[i][j-1] + extend)
+// with the local best tracked over M cells only. Beside every M, X and Y
+// cell it carries the packed statistics of the path LocalAlign's
+// TraceBack follows from that cell in that layer:
 //   M > 0:  the diagonal predecessor in the first of M, X, Y that holds
 //           max(M, X, Y)[i-1][j-1], plus this column;
 //   M == 0: the path stops — no columns;
@@ -528,60 +449,6 @@ void ScoringProfile::Encode(std::string_view s,
   }
 }
 
-Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
-                                const SubstitutionMatrix& scoring,
-                                const GapPenalties& gaps,
-                                AlignScratch* scratch) {
-  GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
-  if (a.empty() || b.empty()) return int64_t{0};
-  AlignScratch local;
-  if (scratch == nullptr) scratch = &local;
-  std::optional<ScoringProfile> built;
-  const ScoringProfile& profile = ProfileFor(scoring, &built);
-  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
-    Metrics().full_dp_fallbacks->Increment();
-    GENALG_ASSIGN_OR_RETURN(Alignment full,
-                            LocalAlign(a, b, scoring, gaps));
-    return full.score;
-  }
-  // Put the shorter operand on the inner (row) axis: local alignment is
-  // symmetric under swapping, and the rows are what we keep in memory.
-  std::string_view outer = a.size() >= b.size() ? a : b;
-  std::string_view inner = a.size() >= b.size() ? b : a;
-  profile.Encode(outer, &scratch->codes_a);
-  profile.Encode(inner, &scratch->codes_b);
-  return static_cast<int64_t>(LocalScoreCore(profile, scratch->codes_a,
-                                             scratch->codes_b, gaps,
-                                             scratch, nullptr, nullptr));
-}
-
-Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,
-                               const SubstitutionMatrix& scoring,
-                               const GapPenalties& gaps, int64_t threshold,
-                               AlignScratch* scratch) {
-  GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
-  if (threshold <= 0) return true;  // The empty alignment scores 0.
-  if (a.empty() || b.empty()) return false;
-  AlignScratch local;
-  if (scratch == nullptr) scratch = &local;
-  std::optional<ScoringProfile> built;
-  const ScoringProfile& profile = ProfileFor(scoring, &built);
-  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
-    Metrics().full_dp_fallbacks->Increment();
-    GENALG_ASSIGN_OR_RETURN(Alignment full,
-                            LocalAlign(a, b, scoring, gaps));
-    return full.score >= threshold;
-  }
-  std::string_view outer = a.size() >= b.size() ? a : b;
-  std::string_view inner = a.size() >= b.size() ? b : a;
-  profile.Encode(outer, &scratch->codes_a);
-  profile.Encode(inner, &scratch->codes_b);
-  bool reached = false;
-  LocalScoreCore(profile, scratch->codes_a, scratch->codes_b, gaps, scratch,
-                 &threshold, &reached);
-  return reached;
-}
-
 double LocalStats::Identity() const {
   if (columns == 0) return 0.0;
   return static_cast<double>(matches) / static_cast<double>(columns);
@@ -607,6 +474,19 @@ Result<LocalStats> LocalAlignStats(std::string_view a, std::string_view b,
           ? FastestStatsKernel()
           : detail::StatsKernel::kScalar;
   return detail::LocalStatsFill(kernel, profile, a, b, gaps, scratch);
+}
+
+Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
+                                const SubstitutionMatrix& scoring,
+                                const GapPenalties& gaps,
+                                AlignScratch* scratch) {
+  // The best local score is symmetric under swapping the operands; the
+  // fill is fastest with the shorter one on `b` (see LocalAlignStats).
+  const bool a_longer = a.size() >= b.size();
+  GENALG_ASSIGN_OR_RETURN(
+      LocalStats best, LocalAlignStats(a_longer ? a : b, a_longer ? b : a,
+                                       scoring, gaps, scratch));
+  return best.score;
 }
 
 namespace detail {
@@ -653,52 +533,5 @@ LocalStats LocalStatsFill(StatsKernel kernel, const ScoringProfile& profile,
 }
 
 }  // namespace detail
-
-int64_t ResemblesScoreFloor(const ScoringProfile& profile,
-                            const GapPenalties& gaps, double min_identity,
-                            size_t min_overlap,
-                            const std::vector<uint8_t>& codes_a,
-                            const std::vector<uint8_t>& codes_b) {
-  if (min_identity <= 0.0 || min_overlap == 0) return 0;
-  const double theta = std::min(min_identity, 1.0);
-  // Which residue classes occur in each input. An identity-match column
-  // holds the same character on both sides, hence a class present in
-  // both.
-  uint32_t present_a = 0, present_b = 0;
-  for (uint8_t c : codes_a) present_a |= 1u << c;
-  for (uint8_t c : codes_b) present_b |= 1u << c;
-  // Only the nucleotide alphabet (17 classes) fits a 32-bit presence set;
-  // wider matrices skip the class analysis and use the global diagonal
-  // minimum, which is weaker but still sound.
-  int32_t min_self;
-  if (profile.width() <= 32) {
-    uint32_t shared = present_a & present_b;
-    if (shared == 0) return std::numeric_limits<int64_t>::max();
-    min_self = std::numeric_limits<int32_t>::max();
-    for (int c = 0; c < profile.width(); ++c) {
-      if (shared & (1u << c)) {
-        min_self = std::min(min_self, profile.SelfScore(c));
-      }
-    }
-  } else {
-    min_self = std::numeric_limits<int32_t>::max();
-    for (int c = 0; c < profile.width(); ++c) {
-      min_self = std::min(min_self, profile.SelfScore(c));
-    }
-  }
-  // A qualifying alignment of L >= min_overlap columns has at least
-  // theta*L identity matches, each scoring >= min_self; every other
-  // column costs at most `worst` (a substitution, or a gap column charged
-  // its extension plus a full open). Hence score >= factor * L.
-  const double worst = std::max(
-      {0.0, -static_cast<double>(profile.min_pair_score()),
-       -static_cast<double>(gaps.open) - static_cast<double>(gaps.extend)});
-  const double factor = theta * min_self - (1.0 - theta) * worst;
-  if (factor <= 0.0) return 0;
-  // The small slack keeps floating-point rounding from ever pushing the
-  // floor above what a genuinely qualifying alignment must score.
-  return static_cast<int64_t>(
-      std::ceil(factor * static_cast<double>(min_overlap) - 1e-6));
-}
 
 }  // namespace genalg::align

@@ -12,28 +12,28 @@
 
 namespace genalg::align {
 
-/// Linear-memory alignment kernels: Gotoh's affine-gap recurrence with
-/// rolling rows instead of full DP matrices. Where the traceback aligners
-/// in aligner.h spend O(n*m) memory on three int64 matrices, these kernels
-/// keep one row of int32 cells (plus, for LocalAlignStats, one row of
-/// path statistics) and return the *same* results, bit for bit (verified
-/// by the property sweep in align_kernels_test). They back every consumer
-/// that needs a score, a thresholded verdict or the length and identity
-/// of the best alignment — the `resembles` predicate behind BQL, the
-/// mediator and the warehouse integrator, and `align_score` in SQL.
+/// The linear-memory local alignment kernel: Gotoh's affine-gap
+/// recurrence filled without traceback matrices. Where the traceback
+/// aligners in aligner.h spend O(n*m) memory on three int64 matrices, the
+/// statistics fill keeps one row (or three anti-diagonals) of int32 cells
+/// and the path statistics beside them, and returns the *same* score,
+/// length and identity, bit for bit (verified by the property sweeps in
+/// align_kernels_test). It backs every consumer that needs a score or the
+/// length and identity of the best alignment — the `resembles` predicate
+/// behind BQL, the mediator and the warehouse integrator, and
+/// `align_score` in SQL.
 
-/// Reusable per-worker DP scratch. All kernels (and the full-DP aligners,
-/// via their scratch overloads) carve their working memory out of one of
-/// these instead of allocating per call; batch drivers keep one per pool
-/// thread so steady-state alignment does no heap allocation at all.
+/// Reusable per-worker DP scratch. The statistics fill (and the full-DP
+/// aligners, via their scratch overloads) carve their working memory out
+/// of one of these instead of allocating per call; batch drivers keep one
+/// per pool thread so steady-state alignment does no heap allocation at
+/// all.
 struct AlignScratch {
-  // Rolling rows of the score-only kernels: M, X (gap in the inner
-  // sequence) and max(M, X, Y) of the previous row.
-  std::vector<int32_t> row_m, row_x, row_best;
-  // LocalAlignStats' rolling row, one entry per column of `b`: the same
-  // three cells of the previous row, the packed statistics of the paths
-  // through them, and the column's residue. One array keeps the kernel's
-  // inner loop on a single base pointer.
+  // The scalar statistics kernel's rolling row, one entry per column of
+  // `b`: M, X (gap in `b`) and max(M, X, Y) of the previous row, the
+  // packed statistics of the paths through them, and the column's
+  // residue. One array keeps the kernel's inner loop on a single base
+  // pointer.
   struct StatsColumn {
     int32_t m, x, best;
     uint8_t code;
@@ -74,11 +74,6 @@ class ScoringProfile {
     return table_.data() + static_cast<size_t>(cls) * width_;
   }
 
-  /// Self-score of a class (the diagonal of the table).
-  int32_t SelfScore(uint8_t cls) const {
-    return table_[static_cast<size_t>(cls) * width_ + cls];
-  }
-
   /// Class code of a character.
   uint8_t Code(char c) const {
     return code_of_[static_cast<unsigned char>(c)];
@@ -94,23 +89,6 @@ class ScoringProfile {
   std::array<uint8_t, 256> code_of_{};
   std::vector<int32_t> table_;  // width_ * width_.
 };
-
-/// Best Smith–Waterman local score — identical to LocalAlign(...).score —
-/// in O(min(|a|,|b|)) memory and O(|a|*|b|) time over int32 cells.
-/// `scratch` may be nullptr (a call-local scratch is used).
-Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
-                                const SubstitutionMatrix& scoring,
-                                const GapPenalties& gaps = GapPenalties(),
-                                AlignScratch* scratch = nullptr);
-
-/// Thresholded local score with early termination: returns true iff
-/// LocalAlignScore(a, b) >= threshold, but stops filling rows as soon as
-/// the running maximum reaches the threshold, or as soon as the largest
-/// score any remaining row could still contribute can no longer reach it.
-Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,
-                               const SubstitutionMatrix& scoring,
-                               const GapPenalties& gaps, int64_t threshold,
-                               AlignScratch* scratch = nullptr);
 
 /// Score, length and identity matches of the alignment LocalAlign(a, b)
 /// returns, decided without a traceback.
@@ -136,12 +114,23 @@ struct LocalStats {
 /// The fill runs on the widest instance the host supports (see
 /// detail::StatsKernel): the anti-diagonal vector kernel where AVX2 or
 /// AVX-512 is present and |a| + |b| <= detail::kMaxVectorStatsLength,
-/// else the scalar kernel. `scratch` may be nullptr (a call-local
-/// scratch is used).
+/// else the scalar kernel. The vector kernel puts `b` in its lanes and
+/// runs fastest with the shorter input there, and the scalar kernel keeps
+/// a row of |b| cells, so callers put the stored (longer) sequence on `a`.
+/// `scratch` may be nullptr (a call-local scratch is used).
 Result<LocalStats> LocalAlignStats(std::string_view a, std::string_view b,
                                    const SubstitutionMatrix& scoring,
                                    const GapPenalties& gaps = GapPenalties(),
                                    AlignScratch* scratch = nullptr);
+
+/// Best Smith–Waterman local score, identical to LocalAlign(a, b).score:
+/// one LocalAlignStats fill with the longer input on `a`, which the score
+/// (unlike the length and identity) does not depend on, so callers may
+/// pass the operands in either order. `scratch` may be nullptr.
+Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
+                                const SubstitutionMatrix& scoring,
+                                const GapPenalties& gaps = GapPenalties(),
+                                AlignScratch* scratch = nullptr);
 
 namespace detail {
 
@@ -169,20 +158,6 @@ LocalStats LocalStatsFill(StatsKernel kernel, const ScoringProfile& profile,
                           const GapPenalties& gaps, AlignScratch* scratch);
 
 }  // namespace detail
-
-/// Smallest local-alignment score any alignment satisfying the
-/// `resembles` predicate (identity >= min_identity over >= min_overlap
-/// columns) can have, given the characters actually present in the two
-/// inputs; 0 when no useful bound exists. A best-local score strictly
-/// below this floor therefore proves the predicate false without any
-/// traceback. Returns INT64_MAX when the predicate is unsatisfiable
-/// outright (min_identity > 0 but the inputs share no residue class, so
-/// no alignment column can ever count as an identity match).
-int64_t ResemblesScoreFloor(const ScoringProfile& profile,
-                            const GapPenalties& gaps, double min_identity,
-                            size_t min_overlap,
-                            const std::vector<uint8_t>& codes_a,
-                            const std::vector<uint8_t>& codes_b);
 
 }  // namespace genalg::align
 

@@ -30,8 +30,8 @@ class SubstitutionMatrix {
   /// Number of residue classes the matrix distinguishes: two characters in
   /// the same class score identically against everything. Nucleotide: the
   /// 16 IUPAC base sets plus one invalid class; BLOSUM: the 24 symbols
-  /// (unknowns collapse onto 'X'). The score-only kernels use the classes
-  /// to precompute a flat lookup profile.
+  /// (unknowns collapse onto 'X'). The statistics kernels use the
+  /// classes to precompute a flat lookup profile.
   int NumClasses() const;
 
   /// Class code of a residue character, in [0, NumClasses()).

@@ -50,7 +50,7 @@ std::string Mutate(Rng* rng, const std::string& s,
   return out.empty() ? std::string(1, rng->Pick(alphabet)) : out;
 }
 
-// ------------------------------------------------- Score-only == full DP.
+// ------------------------------------------------------ Score == full DP.
 
 TEST(KernelTest, LocalScoreMatchesFullDpPropertySweep) {
   Rng rng(2024);
@@ -78,6 +78,11 @@ TEST(KernelTest, LocalScoreMatchesFullDpPropertySweep) {
         ASSERT_TRUE(fast.ok());
         EXPECT_EQ(*fast, full->score)
             << "local a=" << a << " b=" << b << " open=" << gaps.open
+            << " extend=" << gaps.extend;
+        auto swapped = LocalAlignScore(b, a, c.scoring, gaps, &scratch);
+        ASSERT_TRUE(swapped.ok());
+        EXPECT_EQ(*swapped, full->score)
+            << "swapped a=" << a << " b=" << b << " open=" << gaps.open
             << " extend=" << gaps.extend;
       }
     }
@@ -189,31 +194,7 @@ TEST(KernelTest, Int32OverflowGuardFallsBackToFullDp) {
   ExpectStatsMatchFullDp(a, b, big, gaps, &scratch);
 }
 
-// ----------------------------------------------------- Early termination.
-
-TEST(KernelTest, ReachesAgreesWithExactScoreAcrossThresholds) {
-  Rng rng(23);
-  AlignScratch scratch;
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  for (const GapPenalties& gaps : kGapGrid) {
-    for (int trial = 0; trial < 12; ++trial) {
-      const std::string a = rng.RandomString(rng.Uniform(50), kIupac);
-      const std::string b = rng.RandomString(rng.Uniform(50), kIupac);
-      const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-      const int64_t probes[] = {-3, 0, 1,         exact - 2, exact - 1,
-                                exact, exact + 1, exact + 2, exact + 100};
-      for (int64_t threshold : probes) {
-        auto reached =
-            LocalScoreReaches(a, b, nuc, gaps, threshold, &scratch);
-        ASSERT_TRUE(reached.ok());
-        EXPECT_EQ(*reached, exact >= threshold)
-            << "a=" << a << " b=" << b << " threshold=" << threshold;
-      }
-    }
-  }
-}
-
-// ------------------------------------------- Resembles screen soundness.
+// ------------------------------------------ Resembles == full evaluation.
 
 // The identity x overlap grid every `resembles` sweep runs over.
 const double kIdentities[] = {0.0, 0.5, 0.8, 0.95, 1.0};
@@ -309,8 +290,8 @@ TEST(KernelTest, ResemblesEdgeVerdicts) {
 }
 
 TEST(KernelTest, ResemblesDecidesWithoutTraceback) {
-  // Every pair that clears the score floor takes one statistics fill and
-  // no traceback DP; the fill's cells land in align.kernel.cells.
+  // Every pair past the trivial rejects takes one statistics fill and no
+  // traceback DP; the fill's cells land in align.kernel.cells.
   Rng rng(37);
   auto a = NucleotideSequence::Dna(rng.RandomDna(300)).value();
   auto b = NucleotideSequence::Dna(rng.RandomDna(50)).value();
@@ -476,7 +457,8 @@ TEST(KernelTest, VectorFillsAreCountedAndCellsAreReal) {
 
 TEST(KernelTest, DispatchHonoursThePackingLimit) {
   // |a| + |b| = 65535 may take a vector instance; one more residue must
-  // take the scalar kernel, and both answer as the traced alignment does.
+  // take the scalar kernel, and both answer as the traced alignment does,
+  // through LocalAlignStats and through LocalAlignScore in either order.
   const auto& nuc = SubstitutionMatrix::Nucleotide();
   const GapPenalties gaps{-1, 0};
   for (size_t total : {detail::kMaxVectorStatsLength,
@@ -497,6 +479,17 @@ TEST(KernelTest, DispatchHonoursThePackingLimit) {
     EXPECT_EQ(delta.counter("align.kernel.stats_vector_fills"),
               vector ? 1u : 0u)
         << "|a|+|b|=" << total;
+    for (bool swap : {false, true}) {
+      before = obs::Registry::Global().Snapshot();
+      auto score = swap ? LocalAlignScore(b, a, nuc, gaps)
+                        : LocalAlignScore(a, b, nuc, gaps);
+      delta = obs::Registry::Global().Snapshot().Since(before);
+      ASSERT_TRUE(score.ok());
+      EXPECT_EQ(*score, full->score) << "|a|+|b|=" << total;
+      EXPECT_EQ(delta.counter("align.kernel.stats_vector_fills"),
+                vector ? 1u : 0u)
+          << "|a|+|b|=" << total << " swap=" << swap;
+    }
   }
 }
 
@@ -566,30 +559,21 @@ TEST(KernelTest, ScratchReuseDoesNotLeakStateAcrossCalls) {
   Rng rng(47);
   AlignScratch scratch;
   const auto& nuc = SubstitutionMatrix::Nucleotide();
-  // Alternate shapes and kernels against one scratch; every answer must
-  // match a fresh-scratch evaluation.
+  // Alternate shapes and entry points against one scratch; every answer
+  // must match a fresh-scratch evaluation.
   for (int trial = 0; trial < 60; ++trial) {
     const std::string a = rng.RandomString(rng.Uniform(70), kIupac);
     const std::string b = rng.RandomString(rng.Uniform(70), kIupac);
-    switch (trial % 3) {
-      case 0:
-        EXPECT_EQ(LocalAlignScore(a, b, nuc, GapPenalties(), &scratch)
-                      .value(),
-                  LocalAlignScore(a, b, nuc).value());
-        break;
-      case 1: {
-        const LocalStats reused =
-            LocalAlignStats(a, b, nuc, GapPenalties(), &scratch).value();
-        const LocalStats fresh = LocalAlignStats(a, b, nuc).value();
-        EXPECT_EQ(reused.score, fresh.score);
-        EXPECT_EQ(reused.columns, fresh.columns);
-        EXPECT_EQ(reused.matches, fresh.matches);
-        break;
-      }
-      default:
-        EXPECT_EQ(LocalScoreReaches(a, b, nuc, GapPenalties(), 9, &scratch)
-                      .value(),
-                  LocalScoreReaches(a, b, nuc, GapPenalties(), 9).value());
+    if (trial % 2 == 0) {
+      EXPECT_EQ(LocalAlignScore(a, b, nuc, GapPenalties(), &scratch).value(),
+                LocalAlignScore(a, b, nuc).value());
+    } else {
+      const LocalStats reused =
+          LocalAlignStats(a, b, nuc, GapPenalties(), &scratch).value();
+      const LocalStats fresh = LocalAlignStats(a, b, nuc).value();
+      EXPECT_EQ(reused.score, fresh.score);
+      EXPECT_EQ(reused.columns, fresh.columns);
+      EXPECT_EQ(reused.matches, fresh.matches);
     }
   }
 }

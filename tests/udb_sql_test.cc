@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "algebra/signature.h"
+#include "align/aligner.h"
 #include "base/rng.h"
 #include "seq/nucleotide_sequence.h"
 #include "udb/adapter.h"
@@ -300,6 +303,54 @@ TEST_F(SqlTest, AlgebraOperatorsEverywhereExpressionsOccur) {
   auto r5 = MustExecute(
       "SELECT length(reverse_complement(s)) FROM frags WHERE id = 'A'");
   EXPECT_EQ(r5.rows[0][0].AsInt().value(), 4);
+}
+
+TEST_F(SqlTest, AlignScoreEqualsTracedLocalAlignmentInEitherOrder) {
+  // align_score(x, y) and align_score(y, x) both equal the traced
+  // LocalAlign(x, y) score: for a pattern against a longer stored
+  // sequence, a square mutated pair and an N-bearing pair.
+  Rng rng(223);
+  auto mutate = [&rng](const std::string& s, std::string_view alphabet) {
+    std::string out;
+    for (char ch : s) {
+      if (rng.Bernoulli(0.02)) out += rng.RandomString(1, alphabet);
+      if (rng.Bernoulli(0.02)) continue;
+      out.push_back(rng.Bernoulli(0.08) ? rng.Pick(alphabet) : ch);
+    }
+    return out;
+  };
+  const std::string pattern = rng.RandomDna(46);
+  const std::string planted = mutate(pattern, "ACGT");
+  const std::string stored =
+      rng.RandomDna(200) + planted + rng.RandomDna(300 - planted.size());
+  const std::string square = rng.RandomDna(300);
+  std::string ambiguous = rng.RandomDna(150);
+  ambiguous.replace(30, 12, std::string(12, 'N'));
+  ambiguous.replace(100, 5, std::string(5, 'N'));
+  const std::pair<std::string, std::string> cases[] = {
+      {pattern, stored},
+      {square, mutate(square, "ACGT").substr(0, 300)},
+      {ambiguous, mutate(ambiguous, "ACGTN")},
+  };
+  MustExecute("CREATE TABLE pairs (id INT, x NUCSEQ, y NUCSEQ)");
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    MustExecute("INSERT INTO pairs VALUES (" + std::to_string(i) +
+                ", parse_dna('" + cases[i].first + "'), parse_dna('" +
+                cases[i].second + "'))");
+  }
+  auto r = MustExecute(
+      "SELECT id, align_score(x, y), align_score(y, x) FROM pairs "
+      "ORDER BY id");
+  ASSERT_EQ(r.rows.size(), std::size(cases));
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const auto& [x, y] = cases[i];
+    const int64_t want =
+        align::LocalAlign(x, y, align::SubstitutionMatrix::Nucleotide())
+            ->score;
+    EXPECT_GT(want, 0) << "case " << i;
+    EXPECT_EQ(r.rows[i][1].AsInt().value(), want) << "case " << i;
+    EXPECT_EQ(r.rows[i][2].AsInt().value(), want) << "case " << i;
+  }
 }
 
 TEST_F(SqlTest, GdtPipelineInsideSql) {
